@@ -23,16 +23,15 @@ from .mean_value import (Decomposition, MeanValueSample, cross_term_value,
 from .predictors import (Prediction, exp_poly_integral,
                          predict_laplace_unweighted, predict_laplace_weighted,
                          predict_unweighted, predict_weighted, regime_of)
-from .special_functions import (EvalResult, complex_zeta, euler_gamma,
-                                gamma_real, log_gamma, real_zeta,
-                                riemann_siegel_theta)
+from .special_functions import (EvalResult, complex_zeta, gamma_real,
+                                log_gamma, real_zeta, riemann_siegel_theta)
 
 __all__ = [
     "AuxEval", "BoundCheck", "ContourSpec", "Decomposition", "EvalResult",
     "LaplaceScanRow", "MeanValueSample", "Prediction", "RunConfig",
     "complex_zeta", "critical_line_decomposition", "cross_term_value",
     "decomposition_check", "default_contour", "diagonal_closed_form",
-    "double_sum_growth", "euler_gamma", "eval_aux", "eval_aux_direct",
+    "double_sum_growth", "eval_aux", "eval_aux_direct",
     "exp_poly_integral", "gamma_real", "integrate_mean", "laplace_numeric",
     "laplace_ratio_scan", "load_config", "log_gamma", "main_sum",
     "moment_stream", "n_main_terms", "osc_bound_check", "osc_integral",

@@ -259,7 +259,7 @@ def criterion_9() -> CriterionResult:
     with tempfile.TemporaryDirectory() as tmp:
         for threads in (1, 8):
             out_dir = f"{tmp}/t{threads}"
-            cli.cmd_meanvalue(cli.RunContext(
+            cli.run("meanvalue", cli.RunContext(
                 config=cfg.validate(), out_dir=out_dir, threads=threads, cache=None))
             with open(f"{out_dir}/meanvalue.csv", "rb") as fh:
                 outputs.append(fh.read())

@@ -21,9 +21,11 @@ local derivative of the full complex exponent and the Gauss order grows
 with the required digits, which keeps the node count near two per radian
 of exponent variation instead of exploding.
 
-``eval_aux`` dispatches between the two routes at ``t_switch`` and tags
-the result; ``critical_line_decomposition`` exposes 2 e^{i theta(t)}
-R(1/2+it), whose real part is the classical Hardy function.
+``route`` is the one place that chooses between the two routes: the
+contour up to ``t_switch``, the sum above.  ``eval_aux`` follows it and
+tags the result, and the CLI keys its cache by the same tag.
+``critical_line_decomposition`` exposes 2 e^{i theta(t)} R(1/2+it),
+whose real part is the classical Hardy function.
 """
 
 from __future__ import annotations
@@ -336,26 +338,27 @@ def main_sum_error_bound(sigma: float, t: float) -> float:
     return MAIN_SUM_ERROR_COEFF * TWO_PI ** (0.5 * sigma) * t ** (-0.5 * sigma)
 
 
-def eval_aux(s: complex, config=None) -> AuxEval:
-    """Method dispatch: direct contour for t <= t_switch, truncated sum above.
+def route(t: float, t_switch: float = 500.0) -> str:
+    """Method tag of the route that evaluates R(sigma+it): the direct
+    contour for t <= t_switch, the truncated sum above."""
+    return DIRECT_CONTOUR_METHOD if t <= t_switch else MAIN_SUM_METHOD
 
-    `config` may be any object with `t_switch` and `quad_rel` attributes
-    (a RunConfig); omitted, the defaults t_switch=500, quad_rel=1e-9 apply.
-    """
+
+def eval_aux(s: complex, t_switch: float = 500.0, tol: float = 1.0e-9) -> AuxEval:
+    """R(s) by the route that `route` picks; `tol` is the contour's
+    refinement tolerance."""
     s = complex(s)
     t = s.imag
     if not t > 0.0:
         raise ValueError("eval_aux requires Im s > 0")
-    t_switch = getattr(config, "t_switch", 500.0) if config is not None else 500.0
-    tol = getattr(config, "quad_rel", 1.0e-9) if config is not None else 1.0e-9
-    if t <= t_switch:
+    if route(t, t_switch) == DIRECT_CONTOUR_METHOD:
         return eval_aux_direct(s, tol=tol)
     value = main_sum(s.real, t)
     N = n_main_terms(t)
     return AuxEval(s, value, MAIN_SUM_METHOD, main_sum_error_bound(s.real, t), N)
 
 
-def critical_line_decomposition(t: float, config=None) -> tuple[float, float]:
+def critical_line_decomposition(t: float) -> tuple[float, float]:
     """(Re, Im) of 2 e^{i theta(t)} R(1/2 + it).
 
     The real part approximates the classical Hardy function Z(t); the
@@ -364,7 +367,7 @@ def critical_line_decomposition(t: float, config=None) -> tuple[float, float]:
     """
     if not t >= 1.0:
         raise ValueError("critical_line_decomposition requires t >= 1")
-    r = eval_aux(complex(0.5, t), config)
+    r = eval_aux(complex(0.5, t))
     theta = riemann_siegel_theta(t).value
     w = 2.0 * cmath.exp(1j * theta) * r.value
     return w.real, w.imag

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .aux_eval import TWO_PI
 from .errors import BudgetExceededError, QuadratureConvergenceError
 from .special_functions import EULER_GAMMA, real_zeta
-
-TWO_PI_ = 2.0 * math.pi
 
 # Euler's constant beyond binary64, for the extended-precision check branch.
 EULER_GAMMA_HIGH = "0.57721566490153286060651209008240243104215933593992"
@@ -59,7 +58,7 @@ def osc_integral(a: float, b: float, alpha: float, beta: float,
         raise ValueError("beta must be nonzero")
 
     span = b - a
-    period = TWO_PI_ / abs(beta)
+    period = TWO_PI / abs(beta)
     base_panels = max(8, int(math.ceil(6.0 * span / period)))
 
     def run(n_panels: int) -> float:

@@ -7,7 +7,10 @@ Line-delimited records, one per evaluated point::
 Floats are serialized with repr (shortest round-tripping decimal), so the
 key (sigma, t, method, tolerance) and the stored value survive a
 write/read cycle bit-exactly.  Re-inserting an existing key with a
-different value is an integrity error, both on insert and on load.
+different value is an integrity error, both on insert and on load, and so
+is a complete line that does not parse.  A final line without its newline
+is a record torn by an interrupted append: it is never loaded, and the
+file is cut back to its last complete line before the next append.
 """
 
 from __future__ import annotations
@@ -42,8 +45,11 @@ class CacheRecord:
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 6:
             raise CacheIntegrityError(f"malformed cache line: {line!r}")
-        return cls(float(parts[0]), float(parts[1]), parts[2],
-                   float(parts[3]), float(parts[4]), float(parts[5]))
+        try:
+            return cls(float(parts[0]), float(parts[1]), parts[2],
+                       float(parts[3]), float(parts[4]), float(parts[5]))
+        except ValueError as exc:
+            raise CacheIntegrityError(f"malformed cache line: {line!r}") from exc
 
 
 class EvalCache:
@@ -57,17 +63,22 @@ class EvalCache:
         self.path = path
         self._records: dict[tuple, CacheRecord] = {}
         self._lock = threading.Lock()  # workers look up and insert concurrently
+        self._torn_at: int | None = None  # length to cut the file back to
         if path is not None and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    rec = CacheRecord.from_line(line)
-                    prior = self._records.get(rec.key)
-                    if prior is not None and prior != rec:
-                        raise CacheIntegrityError(
-                            f"conflicting records for key {rec.key}")
-                    self._records[rec.key] = rec
+            with open(path, "rb") as fh:
+                data = fh.read()
+            complete = data.rfind(b"\n") + 1
+            if complete < len(data):
+                self._torn_at = complete
+            for line in data[:complete].decode("utf-8").splitlines():
+                if not line.strip():
+                    continue
+                rec = CacheRecord.from_line(line)
+                prior = self._records.get(rec.key)
+                if prior is not None and prior != rec:
+                    raise CacheIntegrityError(
+                        f"conflicting records for key {rec.key}")
+                self._records[rec.key] = rec
 
     def __len__(self) -> int:
         return len(self._records)
@@ -87,5 +98,8 @@ class EvalCache:
                 return
             self._records[rec.key] = rec
             if self.path is not None:
+                if self._torn_at is not None:
+                    os.truncate(self.path, self._torn_at)
+                    self._torn_at = None
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(rec.to_line() + "\n")

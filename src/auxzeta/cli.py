@@ -7,8 +7,9 @@ repr, the shortest decimal that round-trips binary64, so re-parsing and
 re-emitting a file reproduces it byte for byte.
 
 Work is distributed over a thread pool per grid row, but rows are always
-emitted in configuration order and every file is written by the main
-thread, so the thread budget never changes output bytes.
+emitted in configuration order and every CSV and manifest is written by
+the main thread, so the thread budget never changes their bytes.  One
+runner (`run`) serves every command in the `COMMANDS` table.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,14 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, acceptance, bound_checks, laplace, mean_value, predictors
-from .aux_eval import (DIRECT_CONTOUR_METHOD, MAIN_SUM_METHOD, eval_aux,
-                       eval_aux_direct, main_sum, main_sum_error_bound,
-                       n_main_terms)
+from .aux_eval import DIRECT_CONTOUR_METHOD, eval_aux, main_sum_error_bound, route
 from .cache import CacheRecord, EvalCache
 from .config import RunConfig, config_to_dict, load_config
 from .errors import AuxZetaError
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -40,6 +38,7 @@ class RunContext:
     out_dir: str
     threads: int
     cache: EvalCache | None
+    criteria: list[int] | None = None  # verify only; None runs all nine
 
 
 def _fmt(x) -> str:
@@ -50,9 +49,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: str, rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -88,58 +87,39 @@ def _pool_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _ensure_dir(path: str) -> None:
-    import os
-
-    os.makedirs(path, exist_ok=True)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (CSV rows, evaluation count, exit code)
 # ---------------------------------------------------------------------------
 
-def cmd_eval(ctx: RunContext) -> int:
+def cmd_eval(ctx: RunContext) -> tuple[list[list], int, int]:
     """Point evaluations of the auxiliary function over sigma x t grids."""
-    t0 = time.time()
     cfg = ctx.config
-    _ensure_dir(ctx.out_dir)
     tasks = [(s, t) for s in cfg.sigma_list for t in cfg.t_grid]
 
     def one(task):
         sigma, t = task
-        method = (DIRECT_CONTOUR_METHOD if t <= cfg.t_switch else MAIN_SUM_METHOD)
+        method = route(t, cfg.t_switch)
+        # contract bound for the contour (its observed bound is <= quad_rel)
+        err = (cfg.quad_rel if method == DIRECT_CONTOUR_METHOD
+               else main_sum_error_bound(sigma, t))
+        hit = None
         if ctx.cache is not None:
             hit = ctx.cache.lookup(sigma, t, method, cfg.quad_rel)
-            if hit is not None:
-                err = (cfg.quad_rel if method == DIRECT_CONTOUR_METHOD
-                       else main_sum_error_bound(sigma, t))
-                return [sigma, t, method, hit.value_re, hit.value_im, err, 0]
-        if method == DIRECT_CONTOUR_METHOD:
-            r = eval_aux_direct(complex(sigma, t), tol=cfg.quad_rel)
-            value, n_ev = r.value, r.n_evals
-            err = cfg.quad_rel  # contract bound; observed bound is <= this
-        else:
-            value = main_sum(sigma, t)
-            n_ev = n_main_terms(t)
-            err = main_sum_error_bound(sigma, t)
+        if hit is not None:
+            return [sigma, t, method, hit.value_re, hit.value_im, err, 0]
+        r = eval_aux(complex(sigma, t), t_switch=cfg.t_switch, tol=cfg.quad_rel)
         if ctx.cache is not None:
             ctx.cache.insert(CacheRecord(sigma, t, method, cfg.quad_rel,
-                                         value.real, value.imag))
-        return [sigma, t, method, value.real, value.imag, err, n_ev]
+                                         r.value.real, r.value.imag))
+        return [sigma, t, method, r.value.real, r.value.imag, err, r.n_evals]
 
     rows = _pool_map(one, tasks, ctx.threads)
-    _write_csv(f"{ctx.out_dir}/eval.csv",
-               ["sigma", "t", "method", "value_re", "value_im",
-                "error_bound", "n_evals"], rows)
-    _write_manifest(ctx, "eval", time.time() - t0, sum(r[6] for r in rows))
-    return 0
+    return rows, sum(r[6] for r in rows), 0
 
 
-def cmd_meanvalue(ctx: RunContext) -> int:
+def cmd_meanvalue(ctx: RunContext) -> tuple[list[list], int, int]:
     """Moment values joined with their predicted main terms."""
-    t0 = time.time()
     cfg = ctx.config
-    _ensure_dir(ctx.out_dir)
     predict = predictors.predict_weighted if cfg.weighted \
         else predictors.predict_unweighted
 
@@ -160,20 +140,13 @@ def cmd_meanvalue(ctx: RunContext) -> int:
         return out
 
     groups = _pool_map(one, list(cfg.sigma_list), ctx.threads)
-    rows = [r for g in groups for r in g]
-    _write_csv(f"{ctx.out_dir}/meanvalue.csv",
-               ["sigma", "T", "weighted", "value", "main_term", "residual",
-                "scaled_residual", "quad_error", "n_evals"], rows)
-    _write_manifest(ctx, "meanvalue", time.time() - t0,
-                    sum(r[8] for r in rows))
-    return 0
+    # every row of a group carries its whole stream's count: count it once
+    return [r for g in groups for r in g], sum(g[0][8] for g in groups if g), 0
 
 
-def cmd_laplace(ctx: RunContext) -> int:
+def cmd_laplace(ctx: RunContext) -> tuple[list[list], int, int]:
     """Transform-ratio scans per sigma over the configured epsilon grid."""
-    t0 = time.time()
     cfg = ctx.config
-    _ensure_dir(ctx.out_dir)
 
     def one(sigma):
         if not cfg.epsilon_grid:
@@ -183,19 +156,12 @@ def cmd_laplace(ctx: RunContext) -> int:
                  r.tail_bound] for r in rows]
 
     groups = _pool_map(one, list(cfg.sigma_list), ctx.threads)
-    rows = [r for g in groups for r in g]
-    _write_csv(f"{ctx.out_dir}/laplace.csv",
-               ["sigma", "epsilon", "numeric", "predicted", "ratio",
-                "tail_bound"], rows)
-    _write_manifest(ctx, "laplace", time.time() - t0, 0)
-    return 0
+    return [r for g in groups for r in g], 0, 0
 
 
-def cmd_lemmas(ctx: RunContext) -> int:
+def cmd_lemmas(ctx: RunContext) -> tuple[list[list], int, int]:
     """Bound-check tables: oscillatory, power-sum, double-sum suites."""
-    t0 = time.time()
     cfg = ctx.config
-    _ensure_dir(ctx.out_dir)
     rows = []
     for chk in bound_checks.random_osc_sweep(200, seed=cfg.seed):
         inp = chk.inputs
@@ -215,30 +181,45 @@ def cmd_lemmas(ctx: RunContext) -> int:
                 chk = bound_checks.double_sum_growth(float(x), sigma, kind)
                 rows.append([kind, f"x={x} sigma={sigma:.6g}",
                              chk.lhs, chk.rhs_bound, chk.ratio])
-    _write_csv(f"{ctx.out_dir}/lemmas.csv",
-               ["lemma", "inputs", "lhs", "bound", "ratio"], rows)
-    _write_manifest(ctx, "lemmas", time.time() - t0, 0)
-    return 0
+    return rows, 0, 0
 
 
-def cmd_verify(ctx: RunContext, numbers: list[int] | None = None) -> int:
+def cmd_verify(ctx: RunContext) -> tuple[list[list], int, int]:
     """Full acceptance run; nonzero exit when any criterion fails."""
-    t0 = time.time()
-    _ensure_dir(ctx.out_dir)
-    results = acceptance.run_all(numbers, verbose=True)
+    results = acceptance.run_all(ctx.criteria, verbose=True)
     rows = [[r.number, r.title, "pass" if r.passed else "fail",
              round(r.elapsed_s, 2)] for r in results]
-    _write_csv(f"{ctx.out_dir}/verify.csv",
-               ["criterion", "title", "status", "elapsed_s"], rows)
     with open(f"{ctx.out_dir}/verify_report.txt", "w", encoding="utf-8") as fh:
         for r in results:
             fh.write(r.line() + "\n")
             for d in r.details:
                 fh.write(f"    {d}\n")
-    _write_manifest(ctx, "verify", time.time() - t0, 0)
     n_failed = sum(1 for r in results if not r.passed)
     print(f"{len(results) - n_failed}/{len(results)} criteria passed")
-    return 2 if n_failed else 0
+    return rows, 0, 2 if n_failed else 0
+
+
+# command name -> (subcommand, CSV header); the CSV is <name>.csv
+COMMANDS = {
+    "eval": (cmd_eval, "sigma,t,method,value_re,value_im,error_bound,n_evals"),
+    "meanvalue": (cmd_meanvalue, "sigma,T,weighted,value,main_term,residual,"
+                                 "scaled_residual,quad_error,n_evals"),
+    "laplace": (cmd_laplace, "sigma,epsilon,numeric,predicted,ratio,tail_bound"),
+    "lemmas": (cmd_lemmas, "lemma,inputs,lhs,bound,ratio"),
+    "verify": (cmd_verify, "criterion,title,status,elapsed_s"),
+}
+
+
+def run(command: str, ctx: RunContext) -> int:
+    """Run one subcommand: create the output directory, write its CSV and
+    its manifest with the wall time, and return its exit code."""
+    t0 = time.time()
+    os.makedirs(ctx.out_dir, exist_ok=True)
+    fn, header = COMMANDS[command]
+    rows, n_evals, code = fn(ctx)
+    _write_csv(f"{ctx.out_dir}/{command}.csv", header, rows)
+    _write_manifest(ctx, command, time.time() - t0, n_evals)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="auxzeta",
         description="Second moments of Riemann's auxiliary function: "
                     "evaluators, decompositions, asymptotic checks.")
-    p.add_argument("command",
-                   choices=["eval", "meanvalue", "laplace", "lemmas", "verify"])
+    p.add_argument("command", choices=list(COMMANDS))
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--threads", type=int, default=None,
@@ -269,26 +249,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig().validate()
         threads = args.threads if args.threads is not None else cfg.thread_budget
         cache_path = args.cache if args.cache is not None else cfg.cache_path
-        cache = EvalCache(cache_path) if cache_path else None
-        _ensure_dir(args.out)
+        criteria = ([int(x) for x in args.criteria.split(",")]
+                    if args.criteria else None)
         ctx = RunContext(config=cfg, out_dir=args.out, threads=threads,
-                         cache=cache)
-        if args.command == "eval":
-            return cmd_eval(ctx)
-        if args.command == "meanvalue":
-            return cmd_meanvalue(ctx)
-        if args.command == "laplace":
-            return cmd_laplace(ctx)
-        if args.command == "lemmas":
-            return cmd_lemmas(ctx)
-        numbers = None
-        if args.criteria:
-            numbers = [int(x) for x in args.criteria.split(",")]
-        return cmd_verify(ctx, numbers)
-    except AuxZetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+                         cache=EvalCache(cache_path) if cache_path else None,
+                         criteria=criteria)
+        return run(args.command, ctx)
+    except (AuxZetaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

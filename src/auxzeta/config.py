@@ -18,9 +18,9 @@ Recognized keys (all optional, defaults in parentheses):
     T_grid        floats: moment upper limits     (empty)
     epsilon_grid  floats, descending              (0.05, 0.02, 0.01)
     weighted      true/false                      (true)
-    quad_rel      float                           (1e-9)
-    special_fn_abs float                          (1e-10)
-    t_switch      float                           (500.0)
+    quad_rel      float: contour tolerance        (1e-9)
+    t_switch      float: contour up to this t,    (500.0)
+                  truncated sum above
     thread_budget int                             (1)
     cache_path    path                            (unset)
     seed          int                             (20250808)
@@ -28,12 +28,12 @@ Recognized keys (all optional, defaults in parentheses):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
 _FLOAT_LIST_KEYS = {"sigma_list", "t_grid", "T_grid", "epsilon_grid"}
-_FLOAT_KEYS = {"quad_rel", "special_fn_abs", "t_switch"}
+_FLOAT_KEYS = {"quad_rel", "t_switch"}
 _INT_KEYS = {"thread_budget", "seed"}
 _BOOL_KEYS = {"weighted"}
 _STR_KEYS = {"cache_path"}
@@ -48,7 +48,6 @@ class RunConfig:
     epsilon_grid: tuple[float, ...] = (0.05, 0.02, 0.01)
     weighted: bool = True
     quad_rel: float = 1.0e-9
-    special_fn_abs: float = 1.0e-10
     t_switch: float = 500.0
     thread_budget: int = 1
     cache_path: str | None = None
@@ -57,8 +56,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.thread_budget < 1:
             raise ConfigError("thread_budget must be >= 1")
-        if not self.quad_rel > 0.0 or not self.special_fn_abs > 0.0:
-            raise ConfigError("tolerances must be positive")
+        if not self.quad_rel > 0.0:
+            raise ConfigError("quad_rel must be positive")
         if self.t_switch < 0.0:
             raise ConfigError("t_switch must be >= 0")
         for name in ("t_grid", "T_grid"):
@@ -121,7 +120,3 @@ def config_to_dict(config: RunConfig) -> dict:
         v = getattr(config, f.name)
         out[f.name] = list(v) if isinstance(v, tuple) else v
     return out
-
-
-def with_overrides(config: RunConfig, **kw) -> RunConfig:
-    return replace(config, **kw).validate()

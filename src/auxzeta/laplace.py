@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aux_eval import TWO_PI
 from .errors import CoverageError
 from .mean_value import MomentStream, moment_stream
 from .predictors import predict_laplace_weighted
-
-TWO_PI = 2.0 * math.pi
 
 _MIN_EPS_TMAX = 40.0
 # 42/eps rather than the bare minimum 40/eps: at eps*T_max = 40 the

@@ -36,11 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound_checks import osc_integral
-from .errors import BudgetExceededError
 from .aux_eval import TWO_PI, n_main_terms
-
-_GLX8, _GLW8 = np.polynomial.legendre.leggauss(8)
+from .bound_checks import _GLW8, _GLX8, osc_integral
+from .errors import BudgetExceededError
 
 _PAIR_BUDGET_SQRT = 1500.0
 _CHUNK_PANELS = 4096
@@ -275,12 +273,11 @@ def _stream(sigma: float, T_grid: list[float], weighted: bool,
 
 
 def integrate_mean(sigma: float, t_grid: list[float], weighted: bool,
-                   config=None, panel_scale: float = 1.0) -> list[MeanValueSample]:
+                   panel_scale: float = 1.0) -> list[MeanValueSample]:
     """Streaming moment values at each requested T (sorted ascending, >= 2pi).
 
     One pass serves the whole grid; `panel_scale` < 1 refines every panel
-    (used by the refinement contract test), and `config` is accepted for
-    interface symmetry with the evaluators.
+    (used by the refinement contract test).
     """
     if len(t_grid) == 0:
         return []

@@ -16,8 +16,8 @@ differ by exactly 2/3; re-deriving the closed-form integral
     int_0^U u^{1/2} (log(u)/2 + gamma) du = U^{3/2} (log(U)/3 + 2(3 gamma - 1)/9)
 
 selects 2(3*gamma-1)/9, and the empirical moment fit confirms it, so that
-is the default.  The alternate value stays available behind a flag rather
-than being silently discarded.
+is the value the weighted table uses.  The alternate value stays defined
+as CRITICAL_CONSTANT_ALTERNATE, which criterion 3's fit must reject.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .aux_eval import TWO_PI
 from .errors import RangeExceededError
-from .special_functions import EULER_GAMMA, gamma_real, real_zeta
-
-TWO_PI = 2.0 * math.pi
+from .special_functions import EULER_GAMMA, gamma_real, log_gamma, real_zeta
 
 WEIGHTED_MEAN = "WeightedMean"
 UNWEIGHTED_MEAN = "UnweightedMean"
@@ -55,9 +54,6 @@ class Prediction:
         x = T / TWO_PI
         lx = math.log(x)
         return sum(c * x**p * lx**q for (c, p, q) in self.main_terms)
-
-    def max_growth_exponent(self) -> float:
-        return max(p for (_, p, _) in self.main_terms)
 
 
 def regime_of(sigma: float, theorem: str) -> str:
@@ -93,13 +89,9 @@ def regime_of(sigma: float, theorem: str) -> str:
     raise ValueError(f"unknown theorem tag {theorem!r}")
 
 
-def predict_weighted(sigma: float, T: float,
-                     critical_constant: str = "derived") -> Prediction:
-    """Main terms of (1/T) int_1^T |R(sigma+it)|^2 (t/2pi)^sigma dt.
-
-    `critical_constant` selects the sigma = 1/2 constant: "derived"
-    (default, 2(3g-1)/9) or "alternate" (2(3g-4)/9).
-    """
+def predict_weighted(sigma: float, T: float) -> Prediction:
+    """Main terms of (1/T) int_1^T |R(sigma+it)|^2 (t/2pi)^sigma dt; the
+    sigma = 1/2 constant is the derived 2(3g-1)/9."""
     if not T >= TWO_PI:
         raise ValueError("requires T >= 2*pi")
     regime = regime_of(sigma, WEIGHTED_MEAN)
@@ -111,13 +103,8 @@ def predict_weighted(sigma: float, T: float,
         zc = real_zeta(2.0 * sigma).value / (sigma + 1.0)
         return Prediction(((sqrt_coef, 0.5, 0), (zc, sigma, 0)), 0.25, False, regime)
     if regime == "critical_log":
-        if critical_constant == "derived":
-            c = CRITICAL_CONSTANT_DERIVED
-        elif critical_constant == "alternate":
-            c = CRITICAL_CONSTANT_ALTERNATE
-        else:
-            raise ValueError(f"unknown critical_constant {critical_constant!r}")
-        return Prediction(((1.0 / 3.0, 0.5, 1), (c, 0.5, 0)), 0.25, True, regime)
+        return Prediction(((1.0 / 3.0, 0.5, 1), (CRITICAL_CONSTANT_DERIVED, 0.5, 0)),
+                          0.25, True, regime)
     zc = real_zeta(2.0 * sigma).value / (sigma + 1.0)
     if regime == "zeta_plus_sqrt":
         return Prediction(((zc, sigma, 0), (sqrt_coef, 0.5, 0)),
@@ -191,7 +178,7 @@ def exp_poly_integral(a: float, epsilon: float) -> float:
         raise ValueError("requires a > 0")
     if not (0.0 < epsilon <= 1.0):
         raise RangeExceededError("requires 0 < epsilon <= 1")
-    lead = math.exp(log_gamma_1p(a) - (1.0 + a) * math.log(epsilon))
+    lead = math.exp(log_gamma(1.0 + a).value.real - (1.0 + a) * math.log(epsilon))
     total = 0.0
     factorial = 1.0
     for n in range(1, 200):
@@ -202,35 +189,3 @@ def exp_poly_integral(a: float, epsilon: float) -> float:
         if abs(term) < 1.0e-16:
             break
     return lead + total
-
-
-def log_gamma_1p(a: float) -> float:
-    """log Gamma(1+a) for a > 0, through the package's own gamma."""
-    from .special_functions import log_gamma
-
-    return log_gamma(1.0 + a).value.real
-
-
-def continuity_audit(theorem: str, T: float = TWO_PI * 1.0e4,
-                     delta: float = 1.0e-4) -> list[dict]:
-    """Record (never assert) main-term jumps at interior regime boundaries.
-
-    A boundary where a term is introduced or retired shows a finite jump;
-    the audit reports the evaluated main-term gap on either side of each
-    boundary so regressions in the regime tables are visible.
-    """
-    predict = predict_weighted if theorem == WEIGHTED_MEAN else predict_unweighted
-    out = []
-    for boundary in (0.25, 0.5, 1.0, 2.0):
-        lo = predict(boundary - delta, T)
-        hi = predict(boundary + delta, T)
-        at = predict(boundary, T)
-        out.append({
-            "theorem": theorem,
-            "sigma": boundary,
-            "below": lo.evaluate(T),
-            "at": at.evaluate(T),
-            "above": hi.evaluate(T),
-            "regimes": (lo.regime, at.regime, hi.regime),
-        })
-    return out

@@ -288,8 +288,3 @@ def riemann_siegel_theta(t: float) -> EvalResult:
     value = lg.value.imag - 0.5 * t * math.log(math.pi)
     bound = lg.abs_error_bound + 1e-16 * abs(t) * math.log(max(abs(t), 2.0))
     return EvalResult(value, bound, lg.terms_used)
-
-
-def euler_gamma() -> float:
-    """Euler's constant as a stored binary64 literal."""
-    return EULER_GAMMA

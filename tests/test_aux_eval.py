@@ -11,7 +11,6 @@ from auxzeta.aux_eval import (DIRECT_CONTOUR_METHOD, MAIN_SUM_METHOD,
                               critical_line_decomposition, default_contour,
                               eval_aux, eval_aux_direct, main_sum,
                               main_sum_error_bound, n_main_terms)
-from auxzeta.config import RunConfig
 from auxzeta.errors import ContourError
 from auxzeta.special_functions import complex_zeta, riemann_siegel_theta
 
@@ -113,9 +112,8 @@ class TestDispatch:
         assert r.error_bound == main_sum_error_bound(0.0, 1.0e4)
 
     def test_continuity_at_switch(self):
-        cfg_low = RunConfig(t_switch=50.0)
-        below = eval_aux(complex(0.0, 50.0), cfg_low)
-        above = eval_aux(complex(0.0, 50.0 + 1e-9), cfg_low)
+        below = eval_aux(complex(0.0, 50.0), t_switch=50.0)
+        above = eval_aux(complex(0.0, 50.0 + 1e-9), t_switch=50.0)
         assert below.method == DIRECT_CONTOUR_METHOD
         assert above.method == MAIN_SUM_METHOD
         gap = abs(below.value - above.value)

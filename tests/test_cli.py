@@ -6,7 +6,9 @@ import os
 
 import pytest
 
+from auxzeta.aux_eval import eval_aux
 from auxzeta.cli import main
+from auxzeta.mean_value import integrate_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +44,24 @@ class TestEval:
         n2 = json.loads(_read(out2 / "eval_manifest.json"))["n_evals"]
         assert n2 < n1
         assert n2 == 0
+
+    def test_rows_equal_eval_aux(self, tmp_path):
+        # one t per route: binary64 contour, mp contour, truncated sum
+        t_grid = (20.0, 60.0, 1000.0)
+        expect = [eval_aux(complex(0.5, t)) for t in t_grid]
+        assert [r.method for r in expect] == ["DirectContour", "DirectContour",
+                                              "MainSum"]
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, f"sigma_list = 0.5\nt_grid = {', '.join(map(repr, t_grid))}\n")
+        cache = str(tmp_path / "cache.txt")
+        for run in ("cold", "warm"):
+            assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / run),
+                         "--cache", cache]) == 0
+            lines = _read(tmp_path / run / "eval.csv").decode().splitlines()[1:]
+            got = [line.split(",") for line in lines]
+            want = [[r.method, repr(r.value.real), repr(r.value.imag),
+                     str(r.n_evals if run == "cold" else 0)] for r in expect]
+            assert [g[2:5] + g[6:] for g in got] == want
 
     def test_schema(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -80,6 +100,15 @@ class TestMeanValue:
                     rebuilt.append(str(int(p)))
             out.append(",".join(rebuilt))
         assert "\n".join(out) + "\n" == raw
+
+    def test_manifest_counts_each_stream_once(self, tmp_path):
+        grid = [TWO_PI * x for x in (10.0, 20.0, 40.0)]
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, f"sigma_list = 0, 0.5\nT_grid = {', '.join(map(repr, grid))}\n")
+        assert main(["meanvalue", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        n = json.loads(_read(tmp_path / "meanvalue_manifest.json"))["n_evals"]
+        streams = [integrate_mean(sigma, grid, True)[0].n_evals for sigma in (0.0, 0.5)]
+        assert n == sum(streams)
 
     def test_residual_columns_join_prediction(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

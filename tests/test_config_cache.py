@@ -1,9 +1,11 @@
 """Configuration grammar and evaluation-cache integrity."""
 
+from dataclasses import replace
+
 import pytest
 
 from auxzeta.cache import CacheRecord, EvalCache
-from auxzeta.config import RunConfig, parse_config, with_overrides
+from auxzeta.config import RunConfig, parse_config
 from auxzeta.errors import CacheIntegrityError, ConfigError
 
 
@@ -58,7 +60,9 @@ seed = 99
 
     def test_overrides_validate(self):
         with pytest.raises(ConfigError):
-            with_overrides(RunConfig(), thread_budget=0)
+            replace(RunConfig(), thread_budget=0).validate()
+        with pytest.raises(ConfigError):
+            parse_config("thread_budget = 0")
 
 
 class TestEvalCache:
@@ -106,3 +110,31 @@ class TestEvalCache:
         rec = CacheRecord(0.0, 10.0, "MainSum", 1e-9, 1.0, 2.0)
         cache.insert(rec)
         assert cache.lookup(0.0, 10.0, "MainSum", 1e-9) == rec
+
+    def test_bad_field_is_integrity_error(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("0.0\tten\tMainSum\t1e-09\t1.0\t2.0\n")
+        with pytest.raises(CacheIntegrityError):
+            EvalCache(str(path))
+
+    def test_torn_final_line_is_not_served(self, tmp_path):
+        # an append cut short leaves a prefix that still parses as a record
+        path = tmp_path / "cache.txt"
+        r1 = CacheRecord(0.0, 10.0, "MainSum", 1e-9, 1.0, 2.0)
+        r2 = CacheRecord(0.5, 37.251, "DirectContour", 1e-9, 0.125, -0.0042123)
+        path.write_text(r1.to_line() + "\n" + r2.to_line()[:-3])
+        cache = EvalCache(str(path))
+        assert len(cache) == 1
+        assert cache.lookup(0.5, 37.251, "DirectContour", 1e-9) is None
+        assert cache.lookup(0.0, 10.0, "MainSum", 1e-9) == r1
+
+    def test_append_after_torn_line_cuts_it_off(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        r1 = CacheRecord(0.0, 10.0, "MainSum", 1e-9, 1.0, 2.0)
+        r2 = CacheRecord(0.5, 37.251, "DirectContour", 1e-9, 0.125, -0.0042123)
+        path.write_text(r1.to_line() + "\n" + r2.to_line()[:-3])
+        EvalCache(str(path)).insert(r2)
+        assert path.read_text() == r1.to_line() + "\n" + r2.to_line() + "\n"
+        reloaded = EvalCache(str(path))
+        assert len(reloaded) == 2
+        assert reloaded.lookup(0.5, 37.251, "DirectContour", 1e-9) == r2

@@ -9,8 +9,8 @@ import pytest
 from auxzeta.errors import PoleProximityError, RangeExceededError
 from auxzeta.special_functions import (EULER_GAMMA, EvalResult,
                                        _euler_maclaurin_zeta, complex_zeta,
-                                       euler_gamma, gamma_real, log_gamma,
-                                       real_zeta, riemann_siegel_theta)
+                                       gamma_real, log_gamma, real_zeta,
+                                       riemann_siegel_theta)
 
 # first zero ordinate of zeta on the critical line (classical constant)
 FIRST_ZERO_T = 14.134725141734694
@@ -146,13 +146,13 @@ class TestTheta:
 
 class TestEulerGamma:
     def test_stored_constant(self):
-        assert euler_gamma() == 0.5772156649015329
+        assert EULER_GAMMA == 0.5772156649015329
 
     def test_harmonic_sum_limit(self):
         from auxzeta.bound_checks import power_sum_partial
 
         h = power_sum_partial(1.0e6, 0.5)  # harmonic number H_1e6
-        assert h - math.log(1.0e6) == pytest.approx(euler_gamma(), abs=1e-6)
+        assert h - math.log(1.0e6) == pytest.approx(EULER_GAMMA, abs=1e-6)
 
 
 class TestEvalResult:
