@@ -1,30 +1,38 @@
 """Evaluation of Riemann's auxiliary function R(s) for Im s > 0.
 
-Two independent routes:
+R(s) is the line integral
+
+    R(s) = int  x^{-s} e^{i pi x^2} / (e^{i pi x} - e^{-i pi x}) dx
+
+along a straight line of slope 1 that crosses the real axis between two
+poles of the integrand, traversed from the upper right to the lower left.
+With the crossing in (0,1) this is the defining integral.  Moving the
+crossing past the poles 1..M adds their residues, exactly n^{-s} each,
+which gives three routes:
 
 * ``main_sum`` -- the truncated Dirichlet sum over n <= sqrt(t/2pi), which
   approximates R(sigma+it) with remainder O(t^{-sigma/2});
-* ``eval_aux_direct`` -- composite Gauss-Legendre quadrature of the defining
-  line integral
+* the shifted contour (production) -- ``eval_aux_direct`` on
+  ``shifted_contour(t)``, which crosses at N + 1/2 with N the main sum's
+  term count: the residues give the main sum and the line, which now runs
+  through the saddle of x^{-s} e^{i pi x^2}, adds the remainder with no
+  cancellation, so binary64 suffices (the Riemann-Siegel move);
+* the unshifted contour (oracle) -- ``eval_aux_direct`` on
+  ``default_contour(t)``, crossing at 1/2.  It passes no pole, so it
+  takes nothing from the main sum, but it is badly conditioned: the integrand reaches magnitude
+  exp(max_u [t arg x(u) - pi Im x(u)^2 - pi |Im x(u)|]) while the result
+  stays O(t^{1/4}), so above t ~ 35 it runs in mpmath at a working
+  precision sized to that cancellation.
 
-      R(s) = int  x^{-s} e^{i pi x^2} / (e^{i pi x} - e^{-i pi x}) dx
+Both contours use composite Gauss-Legendre quadrature.  Panel widths
+shrink inversely with the local derivative of the full complex exponent
+and the Gauss order grows with the required digits, which keeps the node
+count near two per radian of exponent variation instead of exploding.
 
-  along the straight line of slope 1 crossing the real axis inside (0,1),
-  traversed from the upper right to the lower left.
-
-The line integral is exact but badly conditioned: the integrand reaches
-magnitude exp(max_u [t arg x(u) - pi Im x(u)^2 - pi |Im x(u)|]) while the
-result stays O(t^{1/4}), so the quadrature runs in adaptive working
-precision (mpmath) sized to that cancellation, with a binary64 fast path
-when the cancellation is mild.  Panel widths shrink inversely with the
-local derivative of the full complex exponent and the Gauss order grows
-with the required digits, which keeps the node count near two per radian
-of exponent variation instead of exploding.
-
-``route`` is the one place that chooses between the two routes: the
-contour up to ``t_switch``, the sum above.  ``eval_aux`` follows it and
-tags the result, and the CLI keys its cache by the same tag.
-``critical_line_decomposition`` exposes 2 e^{i theta(t)} R(1/2+it),
+``route`` is the one place that chooses between the production routes:
+the shifted contour up to ``t_switch``, the sum above.  ``eval_aux``
+follows it and tags the result, and the CLI keys its cache by the same
+tag.  ``critical_line_decomposition`` exposes 2 e^{i theta(t)} R(1/2+it),
 whose real part is the classical Hardy function.
 """
 
@@ -33,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from mpmath.ctx_mp import MPContext
@@ -81,10 +89,15 @@ def main_sum(sigma: float, t: float) -> complex:
     """
     if not t > 0.0:
         raise ValueError("main_sum requires t > 0")
-    N = n_main_terms(t)
-    if N < 1:
+    return _dirichlet_sum(sigma, t, n_main_terms(t))
+
+
+def _dirichlet_sum(sigma: float, t: float, n_terms: int) -> complex:
+    """sum_{n=1}^{n_terms} n^{-sigma-it}, the phases reduced mod 2pi in
+    extended precision."""
+    if n_terms < 1:
         return 0.0 + 0.0j
-    n = np.arange(1, N + 1, dtype=np.float64)
+    n = np.arange(1, n_terms + 1, dtype=np.float64)
     log_n = np.log(n.astype(np.longdouble))
     phase = np.mod(-t * log_n, 2.0 * np.pi).astype(np.float64)
     amp = n ** (-sigma)
@@ -96,10 +109,13 @@ class ContourSpec:
     """Straight-line contour for the defining integral.
 
     The path is crossing + u*exp(i*direction_angle), u in [-half_length,
-    half_length], traversed from u = +half_length down to u = -half_length.
-    The crossing must lie strictly inside (0,1) and far enough from the
-    integrand poles at the integers; the Gaussian factor e^{i pi x^2} only
-    decays along directions with sin(2*angle) > 0, which pins the slope.
+    half_length], traversed downward, from its upper-right end to its
+    lower-left end, whichever of the two diagonal angles is given.  The
+    crossing must be positive (the line then misses the branch cut of
+    x^{-s}) and at least 0.2 from the integrand poles at the integers,
+    measured perpendicular to the line; the Gaussian factor e^{i pi x^2}
+    only decays along directions with sin(2*angle) > 0, which pins the
+    slope.
     """
 
     crossing: float = 0.5
@@ -108,8 +124,8 @@ class ContourSpec:
     nodes_per_unit: int = 32
 
     def validate(self) -> None:
-        if not (0.0 < self.crossing < 1.0):
-            raise ContourError(f"crossing {self.crossing} outside (0,1)")
+        if not self.crossing > 0.0:
+            raise ContourError(f"crossing {self.crossing} is not positive")
         k = (self.direction_angle - math.pi / 4.0) / math.pi
         if abs(k - round(k)) > 1e-9:
             raise ContourError(
@@ -133,6 +149,13 @@ def default_contour(t: float, nodes_per_unit: int = 32) -> ContourSpec:
     U = max(4.0, math.sqrt(max(t, 1.0) / math.pi) + 4.0)
     return ContourSpec(crossing=0.5, direction_angle=math.pi / 4.0,
                        half_length=U, nodes_per_unit=nodes_per_unit)
+
+
+def shifted_contour(t: float) -> ContourSpec:
+    """`default_contour` moved to cross at N + 1/2, N = n_main_terms(t):
+    halfway between the poles next to the saddle sqrt(t/2pi) of
+    x^{-s} e^{i pi x^2}, so the line passes through the saddle."""
+    return replace(default_contour(t), crossing=n_main_terms(t) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -287,7 +310,9 @@ def _quad_mp(s: complex, contour: ContourSpec, scale: float,
 
 def eval_aux_direct(s: complex, contour: ContourSpec | None = None,
                     tol: float = 1.0e-9) -> AuxEval:
-    """R(s) by direct quadrature of the defining line integral.
+    """R(s) by quadrature along `contour` (default: the unshifted
+    `default_contour`) plus the residues n^{-s} of the poles 1..M it
+    passes, M the integer part of its crossing.
 
     The error bound is observed, not modeled: the node density is doubled
     and the value accepted once successive refinements agree within `tol`
@@ -304,6 +329,10 @@ def eval_aux_direct(s: complex, contour: ContourSpec | None = None,
     if contour is None:
         contour = default_contour(t)
     contour.validate()
+    if math.sin(contour.direction_angle) < 0.0:
+        # the same line traversed upward: take the angle that runs it downward
+        contour = replace(contour, direction_angle=contour.direction_angle - math.pi)
+    poles = _dirichlet_sum(s.real, t, int(contour.crossing))
 
     digits = _needed_digits(s, contour)
     density = contour.nodes_per_unit
@@ -312,8 +341,10 @@ def eval_aux_direct(s: complex, contour: ContourSpec | None = None,
 
     def run(sc: float) -> tuple[complex, int]:
         if use_float:
-            return _quad_float(s, contour, sc)
-        return _quad_mp(s, contour, sc, digits)
+            v, n = _quad_float(s, contour, sc)
+        else:
+            v, n = _quad_mp(s, contour, sc, digits)
+        return v + poles, n
 
     v1, n1 = run(scale)
     total_evals = n1
@@ -339,7 +370,7 @@ def main_sum_error_bound(sigma: float, t: float) -> float:
 
 
 def route(t: float, t_switch: float = 500.0) -> str:
-    """Method tag of the route that evaluates R(sigma+it): the direct
+    """Method tag of the route that evaluates R(sigma+it): the shifted
     contour for t <= t_switch, the truncated sum above."""
     return DIRECT_CONTOUR_METHOD if t <= t_switch else MAIN_SUM_METHOD
 
@@ -352,7 +383,7 @@ def eval_aux(s: complex, t_switch: float = 500.0, tol: float = 1.0e-9) -> AuxEva
     if not t > 0.0:
         raise ValueError("eval_aux requires Im s > 0")
     if route(t, t_switch) == DIRECT_CONTOUR_METHOD:
-        return eval_aux_direct(s, tol=tol)
+        return eval_aux_direct(s, shifted_contour(t), tol)
     value = main_sum(s.real, t)
     N = n_main_terms(t)
     return AuxEval(s, value, MAIN_SUM_METHOD, main_sum_error_bound(s.real, t), N)

@@ -7,9 +7,9 @@ repr, the shortest decimal that round-trips binary64, so re-parsing and
 re-emitting a file reproduces it byte for byte.
 
 Work is distributed over a thread pool per grid row, but rows are always
-emitted in configuration order and every CSV and manifest is written by
-the main thread, so the thread budget never changes their bytes.  One
-runner (`run`) serves every command in the `COMMANDS` table.
+emitted in configuration order and every CSV, manifest and cache append
+is written by the main thread, so the thread budget never changes their
+bytes.  One runner (`run`) serves every command in the `COMMANDS` table.
 """
 
 from __future__ import annotations
@@ -46,7 +46,10 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, float):
         return repr(x)
-    return str(x)
+    text = str(x)
+    if any(c in text for c in ',"\n'):  # quoted as RFC 4180 asks
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_csv(path: str, header: str, rows: list[list]) -> None:
@@ -106,14 +109,19 @@ def cmd_eval(ctx: RunContext) -> tuple[list[list], int, int]:
         if ctx.cache is not None:
             hit = ctx.cache.lookup(sigma, t, method, cfg.quad_rel)
         if hit is not None:
-            return [sigma, t, method, hit.value_re, hit.value_im, err, 0]
+            return [sigma, t, method, hit.value_re, hit.value_im, err, 0], None
         r = eval_aux(complex(sigma, t), t_switch=cfg.t_switch, tol=cfg.quad_rel)
-        if ctx.cache is not None:
-            ctx.cache.insert(CacheRecord(sigma, t, method, cfg.quad_rel,
-                                         r.value.real, r.value.imag))
-        return [sigma, t, method, r.value.real, r.value.imag, err, r.n_evals]
+        return ([sigma, t, method, r.value.real, r.value.imag, err, r.n_evals],
+                CacheRecord(sigma, t, method, cfg.quad_rel, r.value.real, r.value.imag))
 
-    rows = _pool_map(one, tasks, ctx.threads)
+    results = _pool_map(one, tasks, ctx.threads)
+    if ctx.cache is not None:
+        # appended here, in task order, so the file's line order does not
+        # depend on which worker finished first
+        for _, rec in results:
+            if rec is not None:
+                ctx.cache.insert(rec)
+    rows = [row for row, _ in results]
     return rows, sum(r[6] for r in rows), 0
 
 
@@ -251,6 +259,10 @@ def main(argv: list[str] | None = None) -> int:
         cache_path = args.cache if args.cache is not None else cfg.cache_path
         criteria = ([int(x) for x in args.criteria.split(",")]
                     if args.criteria else None)
+        unknown = sorted(set(criteria or ()) - set(acceptance.CRITERIA))
+        if unknown:
+            raise ValueError(f"no criterion {unknown}; criteria are numbered "
+                             f"{min(acceptance.CRITERIA)}-{max(acceptance.CRITERIA)}")
         ctx = RunContext(config=cfg, out_dir=args.out, threads=threads,
                          cache=EvalCache(cache_path) if cache_path else None,
                          criteria=criteria)

@@ -2,15 +2,17 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from auxzeta.aux_eval import (DIRECT_CONTOUR_METHOD, MAIN_SUM_METHOD,
-                              MAIN_SUM_ERROR_COEFF, ContourSpec,
+                              MAIN_SUM_ERROR_COEFF, ContourSpec, _needed_digits,
                               critical_line_decomposition, default_contour,
                               eval_aux, eval_aux_direct, main_sum,
-                              main_sum_error_bound, n_main_terms)
+                              main_sum_error_bound, n_main_terms,
+                              shifted_contour)
 from auxzeta.errors import ContourError
 from auxzeta.special_functions import complex_zeta, riemann_siegel_theta
 
@@ -61,6 +63,20 @@ class TestContourSpec:
     def test_opposite_diagonal_allowed(self):
         ContourSpec(direction_angle=math.pi / 4.0 + math.pi).validate()
 
+    def test_shifted_is_valid(self):
+        for t in (5.0, 40.0, 100.0, 500.0, 1000.0):
+            c = shifted_contour(t)
+            assert c.crossing == n_main_terms(t) + 0.5
+            c.validate()
+
+    def test_crossing_near_any_pole(self):
+        # 0.15 along the axis is 0.106 from the pole across the line
+        for n in (2, 3, 9):
+            for crossing in (n - 0.15, n + 0.15):
+                with pytest.raises(ContourError):
+                    ContourSpec(crossing=crossing).validate()
+        ContourSpec(crossing=8.5).validate()
+
 
 class TestDirectContour:
     def test_refinement_contract(self):
@@ -99,9 +115,34 @@ class TestDirectContour:
         resid = abs(r.value - main_sum(0.5, 60.0)) * 60.0**0.25
         assert resid < MAIN_SUM_ERROR_COEFF * TWO_PI**0.25
 
+    def test_opposite_diagonal_same_value(self):
+        # the same line given by its other angle is still traversed downward
+        for contour in (default_contour(20.0), shifted_contour(20.0)):
+            flipped = replace(contour, direction_angle=contour.direction_angle + math.pi)
+            a = eval_aux_direct(complex(0.5, 20.0), contour)
+            b = eval_aux_direct(complex(0.5, 20.0), flipped)
+            assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):
             eval_aux_direct(complex(0.0, -5.0))
+
+
+class TestShiftedRoute:
+    @pytest.mark.parametrize("sigma,t", [(sigma, t) for sigma in (0.0, 0.5, 1.0)
+                                         for t in (40.0, 60.0, 100.0)]
+                             + [(0.5, 500.0)])
+    def test_matches_unshifted_oracle(self, sigma, t):
+        s = complex(sigma, t)
+        shifted = eval_aux(s)
+        oracle = eval_aux_direct(s)
+        assert abs(shifted.value - oracle.value) <= 1e-9 * (1.0 + abs(oracle.value))
+
+    def test_binary64_suffices(self):
+        # no cancellation along the shifted line: at most one digit lost
+        for t in np.linspace(10.0, 500.0, 50):
+            for sigma in (0.0, 0.5, 1.0):
+                assert _needed_digits(complex(sigma, t), shifted_contour(t)) <= 1.0
 
 
 class TestDispatch:

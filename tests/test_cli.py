@@ -1,5 +1,6 @@
 """Command-line surface: schemas, round-trips, cache effect, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -62,6 +63,18 @@ class TestEval:
             want = [[r.method, repr(r.value.real), repr(r.value.imag),
                      str(r.n_evals if run == "cold" else 0)] for r in expect]
             assert [g[2:5] + g[6:] for g in got] == want
+
+    def test_cache_lines_in_config_order(self, tmp_path):
+        # appends made by the workers as they finished put a slow point
+        # (t = 60 on the mp contour) after points listed later
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, "sigma_list = 0.5, 0\nt_grid = 20, 30, 60\n")
+        cache = tmp_path / "cache.txt"
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path),
+                     "--cache", str(cache), "--threads", "2"]) == 0
+        keys = [tuple(float(f) for f in line.split("\t")[:2])
+                for line in _read(cache).decode().splitlines()]
+        assert keys == [(s, t) for s in (0.5, 0.0) for t in (20.0, 30.0, 60.0)]
 
     def test_schema(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -147,6 +160,20 @@ class TestVerifyAndErrors:
         assert os.path.exists(tmp_path / "verify.csv")
         report = _read(tmp_path / "verify_report.txt").decode()
         assert "criterion 1 [PASS]" in report
+
+    def test_verify_csv_reads_back(self, tmp_path):
+        # criterion 6's title contains a comma
+        assert main(["verify", "--out", str(tmp_path), "--criteria", "6"]) == 0
+        with open(tmp_path / "verify.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["criterion", "title", "status", "elapsed_s"]
+        assert len(rows) == 2 and len(rows[1]) == 4
+        assert rows[1][0] == "6" and "," in rows[1][1] and rows[1][2] == "pass"
+
+    def test_unknown_criterion_is_error(self, tmp_path, capsys):
+        assert main(["verify", "--out", str(tmp_path), "--criteria", "1,10"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(tmp_path / "verify.csv")
 
     def test_operational_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.txt"
