@@ -29,11 +29,15 @@ shrink inversely with the local derivative of the full complex exponent
 and the Gauss order grows with the required digits, which keeps the node
 count near two per radian of exponent variation instead of exploding.
 
-``route`` is the one place that chooses between the production routes:
-the shifted contour up to ``t_switch``, the sum above.  ``eval_aux``
-follows it and tags the result, and the CLI keys its cache by the same
-tag.  ``critical_line_decomposition`` exposes 2 e^{i theta(t)} R(1/2+it),
-whose real part is the classical Hardy function.
+``eval_aux`` is the one production evaluator: the shifted contour up to
+``T_SWITCH``, the truncated sum above (the contour is capped at
+t = 1000).  The ``AuxEval`` it returns -- value, method tag,
+error bound, work done -- is the record that the CLI writes to its cache
+and to the ``eval.csv`` row.  The contour's error bound is the observed
+change under one halving of the panel widths, refined until it is within
+``QUAD_REL`` (absolute plus relative).  ``critical_line_decomposition``
+exposes 2 e^{i theta(t)} R(1/2+it), whose real part is the classical Hardy
+function.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ DIRECT_CONTOUR_METHOD = "DirectContour"
 # maximum is |C| * (2pi)^{sigma/2} with |C| <= ~0.95, so 1.5 is a safe
 # recorded envelope used as the main-sum error model coefficient.
 MAIN_SUM_ERROR_COEFF = 1.5
+
+# eval_aux takes the shifted contour for t <= T_SWITCH, the sum above; the
+# contour halves its panels until successive values agree within QUAD_REL
+T_SWITCH = 500.0
+QUAD_REL = 1.0e-9
 
 _MIN_POLE_DISTANCE = 0.2
 _MAX_NODES_PER_UNIT = 4096
@@ -160,7 +169,8 @@ def shifted_contour(t: float) -> ContourSpec:
 
 @dataclass(frozen=True)
 class AuxEval:
-    """One computed value of R(s) with its method tag and error bound."""
+    """One value of R(s) with its method tag, its error bound and the
+    integrand or term evaluations it took (0 when served from a cache)."""
 
     s: complex
     value: complex
@@ -308,15 +318,15 @@ def _quad_mp(s: complex, contour: ContourSpec, scale: float,
     return complex(val), n_evals
 
 
-def eval_aux_direct(s: complex, contour: ContourSpec | None = None,
-                    tol: float = 1.0e-9) -> AuxEval:
+def eval_aux_direct(s: complex, contour: ContourSpec | None = None) -> AuxEval:
     """R(s) by quadrature along `contour` (default: the unshifted
     `default_contour`) plus the residues n^{-s} of the poles 1..M it
     passes, M the integer part of its crossing.
 
     The error bound is observed, not modeled: the node density is doubled
-    and the value accepted once successive refinements agree within `tol`
-    (absolute plus relative).  Raises if agreement is not reached before
+    and the value accepted once successive refinements agree within
+    `QUAD_REL` (absolute plus relative); the bound is their difference,
+    floored at 1e-14 relative.  Raises if agreement is not reached before
     the density cap.
     """
     s = complex(s)
@@ -352,7 +362,7 @@ def eval_aux_direct(s: complex, contour: ContourSpec | None = None,
         v2, n2 = run(scale / 2.0)
         total_evals += n2
         err = abs(v2 - v1)
-        if err <= tol * (1.0 + abs(v2)):
+        if err <= QUAD_REL * (1.0 + abs(v2)):
             bound = max(err, 1e-14 * (1.0 + abs(v2)))
             return AuxEval(s, v2, DIRECT_CONTOUR_METHOD, bound, total_evals)
         density *= 2
@@ -369,21 +379,15 @@ def main_sum_error_bound(sigma: float, t: float) -> float:
     return MAIN_SUM_ERROR_COEFF * TWO_PI ** (0.5 * sigma) * t ** (-0.5 * sigma)
 
 
-def route(t: float, t_switch: float = 500.0) -> str:
-    """Method tag of the route that evaluates R(sigma+it): the shifted
-    contour for t <= t_switch, the truncated sum above."""
-    return DIRECT_CONTOUR_METHOD if t <= t_switch else MAIN_SUM_METHOD
-
-
-def eval_aux(s: complex, t_switch: float = 500.0, tol: float = 1.0e-9) -> AuxEval:
-    """R(s) by the route that `route` picks; `tol` is the contour's
-    refinement tolerance."""
+def eval_aux(s: complex) -> AuxEval:
+    """R(s) by the production route: the shifted contour for t <= T_SWITCH,
+    the truncated sum with its recorded error model above."""
     s = complex(s)
     t = s.imag
     if not t > 0.0:
         raise ValueError("eval_aux requires Im s > 0")
-    if route(t, t_switch) == DIRECT_CONTOUR_METHOD:
-        return eval_aux_direct(s, shifted_contour(t), tol)
+    if t <= T_SWITCH:
+        return eval_aux_direct(s, shifted_contour(t))
     value = main_sum(s.real, t)
     N = n_main_terms(t)
     return AuxEval(s, value, MAIN_SUM_METHOD, main_sum_error_bound(s.real, t), N)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, acceptance, bound_checks, laplace, mean_value, predictors
-from .aux_eval import DIRECT_CONTOUR_METHOD, eval_aux, main_sum_error_bound, route
-from .cache import CacheRecord, EvalCache
+from .aux_eval import eval_aux
+from .cache import EvalCache
 from .config import RunConfig, config_to_dict, load_config
 from .errors import AuxZetaError
 
@@ -97,32 +97,24 @@ def _pool_map(fn, items, threads: int):
 def cmd_eval(ctx: RunContext) -> tuple[list[list], int, int]:
     """Point evaluations of the auxiliary function over sigma x t grids."""
     cfg = ctx.config
-    tasks = [(s, t) for s in cfg.sigma_list for t in cfg.t_grid]
+    cache = ctx.cache
+    points = [complex(sigma, t) for sigma in cfg.sigma_list for t in cfg.t_grid]
 
-    def one(task):
-        sigma, t = task
-        method = route(t, cfg.t_switch)
-        # contract bound for the contour (its observed bound is <= quad_rel)
-        err = (cfg.quad_rel if method == DIRECT_CONTOUR_METHOD
-               else main_sum_error_bound(sigma, t))
-        hit = None
-        if ctx.cache is not None:
-            hit = ctx.cache.lookup(sigma, t, method, cfg.quad_rel)
-        if hit is not None:
-            return [sigma, t, method, hit.value_re, hit.value_im, err, 0], None
-        r = eval_aux(complex(sigma, t), t_switch=cfg.t_switch, tol=cfg.quad_rel)
-        return ([sigma, t, method, r.value.real, r.value.imag, err, r.n_evals],
-                CacheRecord(sigma, t, method, cfg.quad_rel, r.value.real, r.value.imag))
+    def one(s):
+        hit = cache.lookup(s) if cache is not None else None
+        return hit if hit is not None else eval_aux(s)
 
-    results = _pool_map(one, tasks, ctx.threads)
-    if ctx.cache is not None:
-        # appended here, in task order, so the file's line order does not
-        # depend on which worker finished first
-        for _, rec in results:
-            if rec is not None:
-                ctx.cache.insert(rec)
-    rows = [row for row, _ in results]
-    return rows, sum(r[6] for r in rows), 0
+    results = _pool_map(one, points, ctx.threads)
+    if cache is not None:
+        # a hit did no work, a miss always did: store the misses from this
+        # thread in grid order, so the file's line order does not depend on
+        # which worker finished first
+        for r in results:
+            if r.n_evals:
+                cache.insert(r)
+    rows = [[r.s.real, r.s.imag, r.method, r.value.real, r.value.imag,
+             r.error_bound, r.n_evals] for r in results]
+    return rows, sum(r.n_evals for r in results), 0
 
 
 def cmd_meanvalue(ctx: RunContext) -> tuple[list[list], int, int]:
@@ -242,10 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=list(COMMANDS))
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: config thread_budget)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads, at least 1 (default: 1)")
     p.add_argument("--cache", default=None,
-                   help="evaluation cache file (default: config cache_path)")
+                   help="eval only: evaluation cache file")
     p.add_argument("--criteria", default=None,
                    help="verify only: comma-separated criterion numbers")
     return p
@@ -254,17 +246,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        if args.cache and args.command != "eval":
+            raise ValueError("--cache applies to eval only")
         cfg = load_config(args.config) if args.config else RunConfig().validate()
-        threads = args.threads if args.threads is not None else cfg.thread_budget
-        cache_path = args.cache if args.cache is not None else cfg.cache_path
         criteria = ([int(x) for x in args.criteria.split(",")]
                     if args.criteria else None)
         unknown = sorted(set(criteria or ()) - set(acceptance.CRITERIA))
         if unknown:
             raise ValueError(f"no criterion {unknown}; criteria are numbered "
                              f"{min(acceptance.CRITERIA)}-{max(acceptance.CRITERIA)}")
-        ctx = RunContext(config=cfg, out_dir=args.out, threads=threads,
-                         cache=EvalCache(cache_path) if cache_path else None,
+        ctx = RunContext(config=cfg, out_dir=args.out, threads=args.threads,
+                         cache=EvalCache(args.cache) if args.cache else None,
                          criteria=criteria)
         return run(args.command, ctx)
     except (AuxZetaError, OSError, ValueError) as exc:

@@ -6,10 +6,9 @@ Config files are flat key-value text::
     key = value
 
 Values are parsed by key: float lists are comma-separated, booleans are
-``true``/``false``, paths are taken verbatim.  Unknown keys are hard
-errors -- a typo must never silently fall back to a default.  Two runs
-with equal configurations produce byte-identical result files regardless
-of the thread budget.
+``true``/``false``.  Unknown keys are hard errors -- a typo must never
+silently fall back to a default.  Two runs with equal configurations
+produce byte-identical result files regardless of the thread budget.
 
 Recognized keys (all optional, defaults in parentheses):
 
@@ -18,12 +17,12 @@ Recognized keys (all optional, defaults in parentheses):
     T_grid        floats: moment upper limits     (empty)
     epsilon_grid  floats, descending              (0.05, 0.02, 0.01)
     weighted      true/false                      (true)
-    quad_rel      float: contour tolerance        (1e-9)
-    t_switch      float: contour up to this t,    (500.0)
-                  truncated sum above
-    thread_budget int                             (1)
-    cache_path    path                            (unset)
     seed          int                             (20250808)
+
+The thread budget and the cache file are command-line options
+(``--threads``, ``--cache``); the contour tolerance and the switch to the
+truncated sum are the constants ``aux_eval.QUAD_REL`` and
+``aux_eval.T_SWITCH``.
 """
 
 from __future__ import annotations
@@ -33,11 +32,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 _FLOAT_LIST_KEYS = {"sigma_list", "t_grid", "T_grid", "epsilon_grid"}
-_FLOAT_KEYS = {"quad_rel", "t_switch"}
-_INT_KEYS = {"thread_budget", "seed"}
-_BOOL_KEYS = {"weighted"}
-_STR_KEYS = {"cache_path"}
-_ALL_KEYS = _FLOAT_LIST_KEYS | _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+_ALL_KEYS = _FLOAT_LIST_KEYS | {"weighted", "seed"}
 
 
 @dataclass(frozen=True)
@@ -47,19 +42,9 @@ class RunConfig:
     T_grid: tuple[float, ...] = ()
     epsilon_grid: tuple[float, ...] = (0.05, 0.02, 0.01)
     weighted: bool = True
-    quad_rel: float = 1.0e-9
-    t_switch: float = 500.0
-    thread_budget: int = 1
-    cache_path: str | None = None
     seed: int = 20250808
 
     def validate(self) -> "RunConfig":
-        if self.thread_budget < 1:
-            raise ConfigError("thread_budget must be >= 1")
-        if not self.quad_rel > 0.0:
-            raise ConfigError("quad_rel must be positive")
-        if self.t_switch < 0.0:
-            raise ConfigError("t_switch must be >= 0")
         for name in ("t_grid", "T_grid"):
             grid = getattr(self, name)
             if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -76,17 +61,14 @@ def _parse_value(key: str, raw: str):
             if not raw:
                 return ()
             return tuple(float(p) for p in raw.split(","))
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
+        if key == "seed":
             return int(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return raw or None
+        # weighted, the one boolean key
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 

@@ -92,14 +92,13 @@ def diagonal_closed_form(sigma: float, T: float, weighted: bool) -> float:
     )
 
 
-def cross_term_value(sigma: float, T: float, weighted: bool,
-                     tol: float = 1.0e-10) -> float:
+def cross_term_value(sigma: float, T: float, weighted: bool) -> float:
     """Cross part: 2 sum_{m<n<=sqrt(T/2pi)} (nm)^{-s} int_{2pi n^2}^T w cos(t L) dt
     with L = log(n/m).
 
-    Unweighted pairs have the exact antiderivative sin(tL)/L; weighted pairs
-    reuse the adaptive oscillatory quadrature.  Pair count is budgeted at
-    sqrt(T/2pi) <= 1500.
+    Unweighted pairs, and weighted ones at sigma = 0 where w = 1, have the
+    exact antiderivative sin(tL)/L; other weighted pairs reuse the adaptive
+    oscillatory quadrature.  Pair count is budgeted at sqrt(T/2pi) <= 1500.
     """
     if not T >= TWO_PI:
         raise ValueError("requires T >= 2*pi")
@@ -110,7 +109,7 @@ def cross_term_value(sigma: float, T: float, weighted: bool,
     if N < 2:
         return 0.0
     total = 0.0
-    if not weighted:
+    if not weighted or sigma == 0.0:
         for nn in range(2, N + 1):
             m = np.arange(1, nn, dtype=np.float64)
             L = math.log(nn) - np.log(m)
@@ -125,7 +124,7 @@ def cross_term_value(sigma: float, T: float, weighted: bool,
             continue
         for m in range(1, nn):
             L = math.log(nn / m)
-            part = osc_integral(lo, T, sigma, L, tol=tol)
+            part = osc_integral(lo, T, sigma, L)
             total += nn ** (-sigma) * m ** (-sigma) * scale * part
     return 2.0 * total
 
@@ -209,13 +208,14 @@ class MomentStream:
 
 
 def _stream(sigma: float, T_grid: list[float], weighted: bool,
-            panel_scale: float = 1.0) -> tuple[dict, MomentStream, float, int]:
+            panel_scale: float = 1.0) -> tuple[dict, MomentStream, int]:
     """One deterministic streaming pass to max(T_grid).
 
-    Returns ({T: F(T)}, full edge stream, quad_error, n_evals).  The
+    Returns ({T: (F(T), quad_error(T))}, full edge stream, n_evals).  The
     quadrature error is estimated by one step-halving verification per
-    decade of t, on a leading window of that decade, scaled to the decade's
-    contribution, plus a roundoff floor.
+    decade of t, on a leading window of that decade; quad_error(T) sums
+    that relative error times each decade's contribution up to T, plus a
+    roundoff floor.
     """
     T_max = max(T_grid)
     edges = _panel_edges(T_max, T_grid)
@@ -241,7 +241,7 @@ def _stream(sigma: float, T_grid: list[float], weighted: bool,
         F = float(F + cs[-1])
 
     # per-decade halving verification on a leading window
-    quad_err = 0.0
+    decades = []  # (edge index of lo, edge index of hi, relative error)
     lo = 1.0
     while lo < T_max:
         hi = min(lo * 10.0, T_max)
@@ -258,18 +258,22 @@ def _stream(sigma: float, T_grid: list[float], weighted: bool,
             win_val = float(np.sum(np.abs(coarse)))
             diff = abs(float(np.sum(coarse) - np.sum(fine)))
             rel = diff / win_val if win_val > 0 else 0.0
-            decade_contrib = float(F_edges[np.searchsorted(edges, hi)]
-                                   - F_edges[np.searchsorted(edges, lo)])
-            quad_err += rel * abs(decade_contrib)
+            decades.append((np.searchsorted(edges, lo),
+                            np.searchsorted(edges, hi), rel))
         lo = hi
-    quad_err += 1e-13 * abs(F) + 64.0 * 2.220446049250313e-16 * abs(F)
 
     samples = {}
     for T in T_grid:
-        j = int(np.searchsorted(edges, T - 1e-9))
-        samples[T] = float(F_edges[min(j, len(edges) - 1)])
+        j = min(int(np.searchsorted(edges, T - 1e-9)), len(edges) - 1)
+        F_T = float(F_edges[j])
+        quad_err = 0.0
+        for i_lo, i_hi, rel in decades:
+            if i_lo < j:
+                quad_err += rel * abs(float(F_edges[min(i_hi, j)] - F_edges[i_lo]))
+        quad_err += 1e-13 * abs(F_T) + 64.0 * 2.220446049250313e-16 * abs(F_T)
+        samples[T] = (F_T, quad_err)
     stream = MomentStream(sigma, weighted, edges, F_edges)
-    return samples, stream, quad_err, n_evals
+    return samples, stream, n_evals
 
 
 def integrate_mean(sigma: float, t_grid: list[float], weighted: bool,
@@ -286,18 +290,14 @@ def integrate_mean(sigma: float, t_grid: list[float], weighted: bool,
         raise ValueError("T grid must be strictly ascending")
     if grid[0] < TWO_PI:
         raise ValueError("T grid must start at or above 2*pi")
-    samples, _, quad_err, n_evals = _stream(sigma, grid, weighted, panel_scale)
-    out = []
-    for T in grid:
-        raw = samples[T]
-        out.append(MeanValueSample(sigma, T, weighted, raw / T, raw,
-                                   quad_err, n_evals))
-    return out
+    samples, _, n_evals = _stream(sigma, grid, weighted, panel_scale)
+    return [MeanValueSample(sigma, T, weighted, raw / T, raw, quad_err, n_evals)
+            for T, (raw, quad_err) in samples.items()]
 
 
 def moment_stream(sigma: float, T_max: float, weighted: bool) -> MomentStream:
     """Cumulative F(T) on the full panel grid up to T_max (for transforms)."""
-    _, stream, _, _ = _stream(sigma, [float(T_max)], weighted)
+    _, stream, _ = _stream(sigma, [float(T_max)], weighted)
     return stream
 
 
@@ -307,7 +307,7 @@ def decomposition_check(sigma: float, T: float, weighted: bool) -> float:
     identity is exact, so this measures pure quadrature error.
     """
     parts = decomposition(sigma, T, weighted)
-    samples, _, _, _ = _stream(sigma, [float(T)], weighted)
-    lhs = samples[float(T)]
+    samples, _, _ = _stream(sigma, [float(T)], weighted)
+    lhs = samples[float(T)][0]
     rhs = parts.diagonal + parts.cross
     return abs(lhs - rhs) / (parts.diagonal + abs(parts.cross))

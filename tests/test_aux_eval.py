@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from auxzeta.aux_eval import (DIRECT_CONTOUR_METHOD, MAIN_SUM_METHOD,
-                              MAIN_SUM_ERROR_COEFF, ContourSpec, _needed_digits,
-                              critical_line_decomposition, default_contour,
-                              eval_aux, eval_aux_direct, main_sum,
-                              main_sum_error_bound, n_main_terms,
+                              MAIN_SUM_ERROR_COEFF, T_SWITCH, ContourSpec,
+                              _needed_digits, critical_line_decomposition,
+                              default_contour, eval_aux, eval_aux_direct,
+                              main_sum, main_sum_error_bound, n_main_terms,
                               shifted_contour)
 from auxzeta.errors import ContourError
 from auxzeta.special_functions import complex_zeta, riemann_siegel_theta
@@ -153,8 +153,8 @@ class TestDispatch:
         assert r.error_bound == main_sum_error_bound(0.0, 1.0e4)
 
     def test_continuity_at_switch(self):
-        below = eval_aux(complex(0.0, 50.0), t_switch=50.0)
-        above = eval_aux(complex(0.0, 50.0 + 1e-9), t_switch=50.0)
+        below = eval_aux(complex(0.0, T_SWITCH))
+        above = eval_aux(complex(0.0, math.nextafter(T_SWITCH, math.inf)))
         assert below.method == DIRECT_CONTOUR_METHOD
         assert above.method == MAIN_SUM_METHOD
         gap = abs(below.value - above.value)

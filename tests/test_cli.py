@@ -8,6 +8,7 @@ import os
 import pytest
 
 from auxzeta.aux_eval import eval_aux
+from auxzeta.cache import FORMAT_TAG
 from auxzeta.cli import main
 from auxzeta.mean_value import integrate_mean
 
@@ -47,7 +48,8 @@ class TestEval:
         assert n2 == 0
 
     def test_rows_equal_eval_aux(self, tmp_path):
-        # one t per route: binary64 contour, mp contour, truncated sum
+        # both routes: the shifted contour (binary64 at t = 20 and 60) and
+        # the truncated sum above T_SWITCH
         t_grid = (20.0, 60.0, 1000.0)
         expect = [eval_aux(complex(0.5, t)) for t in t_grid]
         assert [r.method for r in expect] == ["DirectContour", "DirectContour",
@@ -60,21 +62,38 @@ class TestEval:
                          "--cache", cache]) == 0
             lines = _read(tmp_path / run / "eval.csv").decode().splitlines()[1:]
             got = [line.split(",") for line in lines]
-            want = [[r.method, repr(r.value.real), repr(r.value.imag),
+            want = [["0.5", repr(r.s.imag), r.method, repr(r.value.real),
+                     repr(r.value.imag), repr(r.error_bound),
                      str(r.n_evals if run == "cold" else 0)] for r in expect]
-            assert [g[2:5] + g[6:] for g in got] == want
+            assert got == want
+        # the contour rows carry the observed bound, not the tolerance
+        assert all(float(g[5]) < 1e-12 for g in got[:2])
 
     def test_cache_lines_in_config_order(self, tmp_path):
-        # appends made by the workers as they finished put a slow point
-        # (t = 60 on the mp contour) after points listed later
+        # the main thread appends after the pool has finished, in grid
+        # order, so the order in which workers finish cannot show
         cfg = tmp_path / "cfg.txt"
         _write(cfg, "sigma_list = 0.5, 0\nt_grid = 20, 30, 60\n")
         cache = tmp_path / "cache.txt"
         assert main(["eval", "--config", str(cfg), "--out", str(tmp_path),
                      "--cache", str(cache), "--threads", "2"]) == 0
-        keys = [tuple(float(f) for f in line.split("\t")[:2])
-                for line in _read(cache).decode().splitlines()]
+        lines = _read(cache).decode().splitlines()
+        assert lines[0] == FORMAT_TAG
+        keys = [tuple(float(f) for f in line.split("\t")[:2]) for line in lines[1:]]
         assert keys == [(s, t) for s in (0.5, 0.0) for t in (20.0, 30.0, 60.0)]
+
+    def test_cache_in_earlier_format_is_error(self, tmp_path, capsys):
+        # a line of the untagged format keyed (sigma, t, method, tolerance)
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, "sigma_list = 0\nt_grid = 30\n")
+        cache = tmp_path / "cache.txt"
+        _write(cache, "0.0\t30.0\tDirectContour\t1e-09\t0.5\t0.25\n")
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--cache", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cache) in err
+        assert not os.path.exists(tmp_path / "out" / "eval.csv")
+        assert _read(cache) == b"0.0\t30.0\tDirectContour\t1e-09\t0.5\t0.25\n"
 
     def test_schema(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -174,6 +193,18 @@ class TestVerifyAndErrors:
         assert main(["verify", "--out", str(tmp_path), "--criteria", "1,10"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(tmp_path / "verify.csv")
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_error(self, tmp_path, capsys, threads):
+        assert main(["eval", "--out", str(tmp_path), "--threads", threads]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(tmp_path / "eval.csv")
+
+    def test_cache_outside_eval_is_error(self, tmp_path, capsys):
+        cache = tmp_path / "cache.txt"
+        assert main(["lemmas", "--out", str(tmp_path), "--cache", str(cache)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(cache)
 
     def test_operational_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.txt"

@@ -1,12 +1,17 @@
 """Configuration grammar and evaluation-cache integrity."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from auxzeta.cache import CacheRecord, EvalCache
+from auxzeta.aux_eval import AuxEval
+from auxzeta.cache import FORMAT_TAG, EvalCache
 from auxzeta.config import RunConfig, parse_config
 from auxzeta.errors import CacheIntegrityError, ConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConfigParse:
@@ -18,25 +23,36 @@ class TestConfigParse:
         cfg = parse_config("""
 # run setup
 sigma_list = 0, 0.5, 1
+t_grid = 20, 60
 T_grid = 628.3185307179587, 2513.2741228718346
+epsilon_grid = 0.05, 0.01
 weighted = false
-quad_rel = 1e-10
-t_switch = 250
-thread_budget = 4
-cache_path = /tmp/cache.txt
 seed = 99
 """)
         assert cfg.sigma_list == (0.0, 0.5, 1.0)
+        assert cfg.t_grid == (20.0, 60.0)
+        assert cfg.T_grid == (628.3185307179587, 2513.2741228718346)
+        assert cfg.epsilon_grid == (0.05, 0.01)
         assert cfg.weighted is False
-        assert cfg.quad_rel == 1e-10
-        assert cfg.t_switch == 250.0
-        assert cfg.thread_budget == 4
-        assert cfg.cache_path == "/tmp/cache.txt"
         assert cfg.seed == 99
+
+    def test_readme_example_parses(self):
+        # the example under "Config grammar" must stay a valid config file
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("### Config grammar"):]
+        example = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        cfg = parse_config(example)
+        assert cfg != RunConfig()
 
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("sigma_lst = 0")
+
+    @pytest.mark.parametrize("line", ["quad_rel = 1e-9", "t_switch = 500",
+                                      "thread_budget = 2", "cache_path = c.txt"])
+    def test_removed_key_is_unknown(self, line):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(line)
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -44,9 +60,11 @@ seed = 99
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
-            parse_config("quad_rel = fast")
+            parse_config("seed = fast")
         with pytest.raises(ConfigError):
             parse_config("weighted = maybe")
+        with pytest.raises(ConfigError):
+            parse_config("t_grid = 10, x")
 
     def test_grid_ordering_enforced(self):
         with pytest.raises(ConfigError):
@@ -60,81 +78,127 @@ seed = 99
 
     def test_overrides_validate(self):
         with pytest.raises(ConfigError):
-            replace(RunConfig(), thread_budget=0).validate()
+            replace(RunConfig(), t_grid=(60.0, 20.0)).validate()
         with pytest.raises(ConfigError):
-            parse_config("thread_budget = 0")
+            replace(RunConfig(), epsilon_grid=(0.01, 0.05)).validate()
+
+
+def _rec(sigma, t, method="MainSum", value=1.0 + 2.0j, bound=1e-9):
+    return AuxEval(complex(sigma, t), value, method, bound)
+
+
+def _line(rec):
+    fields = (rec.s.real, rec.s.imag, rec.method, rec.value.real,
+              rec.value.imag, rec.error_bound)
+    return "\t".join(f if isinstance(f, str) else repr(f) for f in fields)
 
 
 class TestEvalCache:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "cache.txt")
         cache = EvalCache(path)
-        rec = CacheRecord(0.5, 37.251, "DirectContour", 1e-9,
-                          0.123456789012345678, -4.2e-3)
+        rec = AuxEval(complex(0.5, 37.251), complex(0.123456789012345678, -4.2e-3),
+                      "DirectContour", 1.8476636989922302e-14, 3312)
         cache.insert(rec)
         reloaded = EvalCache(path)
-        hit = reloaded.lookup(0.5, 37.251, "DirectContour", 1e-9)
-        assert hit == rec
-        assert hit.value_re == rec.value_re  # bit-exact through repr
+        hit = reloaded.lookup(complex(0.5, 37.251))
+        assert hit == replace(rec, n_evals=0)
+        assert hit.value.real == rec.value.real  # bit-exact through repr
+        assert hit.error_bound == rec.error_bound
+
+    def test_file_layout(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        rec = _rec(0.5, 37.251, "DirectContour", 0.125 - 0.0042123j, 2.5e-14)
+        EvalCache(str(path)).insert(rec)
+        assert path.read_text() == (FORMAT_TAG + "\n"
+                                    + "0.5\t37.251\tDirectContour\t0.125\t"
+                                    "-0.0042123\t2.5e-14\n")
+
+    def test_untagged_file_is_refused(self, tmp_path):
+        # a record in the earlier format: key (sigma, t, method, tolerance)
+        # and no format tag
+        path = tmp_path / "cache.txt"
+        path.write_text("0.0\t10.0\tDirectContour\t1e-09\t1.0\t2.0\n")
+        with pytest.raises(CacheIntegrityError, match=re.escape(str(path))):
+            EvalCache(str(path))
+
+    def test_empty_file_is_new_cache(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("")
+        assert len(EvalCache(str(path))) == 0
+        assert path.read_text() == FORMAT_TAG + "\n"
 
     def test_idempotent_reinsert(self, tmp_path):
         path = str(tmp_path / "cache.txt")
         cache = EvalCache(path)
-        rec = CacheRecord(0.0, 10.0, "MainSum", 1e-9, 1.0, 2.0)
+        rec = _rec(0.0, 10.0)
         cache.insert(rec)
-        cache.insert(rec)
+        cache.insert(replace(rec, n_evals=7))
         assert len(EvalCache(path)) == 1
 
     def test_conflicting_insert_raises(self, tmp_path):
         cache = EvalCache(str(tmp_path / "cache.txt"))
-        cache.insert(CacheRecord(0.0, 10.0, "MainSum", 1e-9, 1.0, 2.0))
+        cache.insert(_rec(0.0, 10.0))
         with pytest.raises(CacheIntegrityError):
-            cache.insert(CacheRecord(0.0, 10.0, "MainSum", 1e-9, 1.0, 2.5))
+            cache.insert(_rec(0.0, 10.0, value=1.0 + 2.5j))
+        with pytest.raises(CacheIntegrityError):
+            cache.insert(_rec(0.0, 10.0, bound=2e-9))
 
     def test_conflicting_file_raises(self, tmp_path):
         path = tmp_path / "cache.txt"
-        r1 = CacheRecord(0.0, 10.0, "MainSum", 1e-9, 1.0, 2.0)
-        r2 = CacheRecord(0.0, 10.0, "MainSum", 1e-9, 9.0, 2.0)
-        path.write_text(r1.to_line() + "\n" + r2.to_line() + "\n")
+        r1 = _rec(0.0, 10.0)
+        r2 = _rec(0.0, 10.0, value=9.0 + 2.0j)
+        path.write_text(FORMAT_TAG + "\n" + _line(r1) + "\n" + _line(r2) + "\n")
         with pytest.raises(CacheIntegrityError):
             EvalCache(str(path))
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "cache.txt"
-        path.write_text("not a record\n")
+        path.write_text(FORMAT_TAG + "\nnot a record\n")
         with pytest.raises(CacheIntegrityError):
             EvalCache(str(path))
 
     def test_memory_only(self):
         cache = EvalCache(None)
-        rec = CacheRecord(0.0, 10.0, "MainSum", 1e-9, 1.0, 2.0)
+        rec = _rec(0.0, 10.0)
         cache.insert(rec)
-        assert cache.lookup(0.0, 10.0, "MainSum", 1e-9) == rec
+        assert cache.lookup(complex(0.0, 10.0)) == rec
+        assert cache.lookup(complex(0.0, 11.0)) is None
 
     def test_bad_field_is_integrity_error(self, tmp_path):
         path = tmp_path / "cache.txt"
-        path.write_text("0.0\tten\tMainSum\t1e-09\t1.0\t2.0\n")
+        path.write_text(FORMAT_TAG + "\n0.0\tten\tMainSum\t1.0\t2.0\t1e-09\n")
         with pytest.raises(CacheIntegrityError):
             EvalCache(str(path))
 
     def test_torn_final_line_is_not_served(self, tmp_path):
         # an append cut short leaves a prefix that still parses as a record
         path = tmp_path / "cache.txt"
-        r1 = CacheRecord(0.0, 10.0, "MainSum", 1e-9, 1.0, 2.0)
-        r2 = CacheRecord(0.5, 37.251, "DirectContour", 1e-9, 0.125, -0.0042123)
-        path.write_text(r1.to_line() + "\n" + r2.to_line()[:-3])
+        r1 = _rec(0.0, 10.0)
+        r2 = _rec(0.5, 37.251, "DirectContour", 0.125 - 0.0042123j, 2.5e-14)
+        path.write_text(FORMAT_TAG + "\n" + _line(r1) + "\n" + _line(r2)[:-3])
         cache = EvalCache(str(path))
         assert len(cache) == 1
-        assert cache.lookup(0.5, 37.251, "DirectContour", 1e-9) is None
-        assert cache.lookup(0.0, 10.0, "MainSum", 1e-9) == r1
+        assert cache.lookup(r2.s) is None
+        assert cache.lookup(r1.s) == r1
 
     def test_append_after_torn_line_cuts_it_off(self, tmp_path):
         path = tmp_path / "cache.txt"
-        r1 = CacheRecord(0.0, 10.0, "MainSum", 1e-9, 1.0, 2.0)
-        r2 = CacheRecord(0.5, 37.251, "DirectContour", 1e-9, 0.125, -0.0042123)
-        path.write_text(r1.to_line() + "\n" + r2.to_line()[:-3])
+        r1 = _rec(0.0, 10.0)
+        r2 = _rec(0.5, 37.251, "DirectContour", 0.125 - 0.0042123j, 2.5e-14)
+        head = FORMAT_TAG + "\n" + _line(r1) + "\n"
+        path.write_text(head + _line(r2)[:-3])
         EvalCache(str(path)).insert(r2)
-        assert path.read_text() == r1.to_line() + "\n" + r2.to_line() + "\n"
+        assert path.read_text() == head + _line(r2) + "\n"
         reloaded = EvalCache(str(path))
         assert len(reloaded) == 2
-        assert reloaded.lookup(0.5, 37.251, "DirectContour", 1e-9) == r2
+        assert reloaded.lookup(r2.s) == r2
+
+    def test_torn_tag_is_rewritten(self, tmp_path):
+        # the tag's own write, cut short
+        path = tmp_path / "cache.txt"
+        path.write_text(FORMAT_TAG[:10])
+        cache = EvalCache(str(path))
+        assert len(cache) == 0
+        cache.insert(_rec(0.0, 10.0))
+        assert path.read_text() == FORMAT_TAG + "\n" + _line(_rec(0.0, 10.0)) + "\n"

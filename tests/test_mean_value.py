@@ -79,6 +79,11 @@ class TestCrossTerm:
         bound = 6.0 * (T / TWO_PI) ** sigma * envelope_sum
         assert abs(cross_term_value(sigma, T, True)) <= bound
 
+    def test_weighted_sigma_zero_is_unweighted(self):
+        # w = (t/2pi)^0 = 1: both take the sine antiderivative, bit for bit
+        T = TWO_PI * 400.0
+        assert cross_term_value(0.0, T, True) == cross_term_value(0.0, T, False)
+
     def test_pair_budget(self):
         with pytest.raises(BudgetExceededError):
             cross_term_value(0.0, TWO_PI * 1501.0**2, False)
@@ -112,6 +117,15 @@ class TestIntegrateMean:
         base = integrate_mean(0.0, grid, weighted=True)[0]
         fine = integrate_mean(0.0, grid, weighted=True, panel_scale=0.5)[0]
         assert abs(base.raw_integral - fine.raw_integral) < base.quad_error
+
+    def test_quad_error_cumulative_per_row(self):
+        # grid points at term-entry points 2 pi n^2, which are panel edges
+        # anyway, so the single-T stream has the same panels
+        grid = [TWO_PI * k * k for k in (10, 20, 30)]
+        errs = [s.quad_error for s in integrate_mean(0.5, grid, weighted=True)]
+        assert errs[0] < errs[1] < errs[2]
+        alone = integrate_mean(0.5, grid[-1:], weighted=True)[0]
+        assert errs[-1] == alone.quad_error
 
     def test_deterministic_repeat(self):
         grid = [TWO_PI * 50.0, TWO_PI * 120.0]
