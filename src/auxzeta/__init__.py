@@ -8,16 +8,15 @@ oracles, and the acceptance gate behind the ``auxzeta verify`` command.
 
 __version__ = "0.1.0"
 
-from .aux_eval import (AuxEval, ContourSpec, critical_line_decomposition,
-                       default_contour, eval_aux, eval_aux_direct, main_sum,
-                       n_main_terms)
+from .aux_eval import (AuxEval, critical_line_decomposition, eval_aux,
+                       eval_aux_direct, main_sum, n_main_terms)
 from .bound_checks import (BoundCheck, double_sum_growth, osc_bound_check,
                            osc_integral, power_sum_asymptotic,
                            power_sum_partial)
 from .config import RunConfig, load_config, parse_config
 from .laplace import (LaplaceScanRow, laplace_numeric, laplace_ratio_scan,
                       power_law_stream)
-from .mean_value import (Decomposition, MeanValueSample, cross_term_value,
+from .mean_value import (MeanValueSample, cross_term_value,
                          decomposition_check, diagonal_closed_form,
                          integrate_mean, moment_stream)
 from .predictors import (Prediction, exp_poly_integral,
@@ -27,10 +26,10 @@ from .special_functions import (EvalResult, complex_zeta, gamma_real,
                                 log_gamma, real_zeta, riemann_siegel_theta)
 
 __all__ = [
-    "AuxEval", "BoundCheck", "ContourSpec", "Decomposition", "EvalResult",
+    "AuxEval", "BoundCheck", "EvalResult",
     "LaplaceScanRow", "MeanValueSample", "Prediction", "RunConfig",
     "complex_zeta", "critical_line_decomposition", "cross_term_value",
-    "decomposition_check", "default_contour", "diagonal_closed_form",
+    "decomposition_check", "diagonal_closed_form",
     "double_sum_growth", "eval_aux", "eval_aux_direct",
     "exp_poly_integral", "gamma_real", "integrate_mean", "laplace_numeric",
     "laplace_ratio_scan", "load_config", "log_gamma", "main_sum",

@@ -150,8 +150,8 @@ def criterion_6() -> CriterionResult:
 
     # synthetic calibration isolates interpolation error
     eps0 = 0.05
-    stream = laplace.power_law_stream(1.5, laplace.DEFAULT_EPS_TMAX / eps0, step=0.02)
-    numeric = laplace.laplace_numeric(0.0, eps0, stream)
+    stream = laplace.power_law_stream(1.5, laplace.DEFAULT_EPS_TMAX / eps0)
+    numeric = laplace.laplace_numeric(eps0, stream)
     target = eps0 * predictors.exp_poly_integral(1.5, eps0)
     rel = abs(numeric - target) / target
     ok &= rel <= 1.0e-6

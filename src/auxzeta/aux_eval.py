@@ -4,22 +4,22 @@ R(s) is the line integral
 
     R(s) = int  x^{-s} e^{i pi x^2} / (e^{i pi x} - e^{-i pi x}) dx
 
-along a straight line of slope 1 that crosses the real axis between two
-poles of the integrand, traversed from the upper right to the lower left.
-With the crossing in (0,1) this is the defining integral.  Moving the
-crossing past the poles 1..M adds their residues, exactly n^{-s} each,
-which gives three routes:
+along a line of slope 1 that crosses the real axis between two poles of
+the integrand, traversed downward, from the upper right to the lower left.
+The line is fixed by its crossing.  With the crossing in (0,1) this is the
+defining integral.  Moving the crossing past the poles 1..M adds their
+residues, exactly n^{-s} each, which gives three routes:
 
 * ``main_sum`` -- the truncated Dirichlet sum over n <= sqrt(t/2pi), which
   approximates R(sigma+it) with remainder O(t^{-sigma/2});
-* the shifted contour (production) -- ``eval_aux_direct`` on
-  ``shifted_contour(t)``, which crosses at N + 1/2 with N the main sum's
-  term count: the residues give the main sum and the line, which now runs
-  through the saddle of x^{-s} e^{i pi x^2}, adds the remainder with no
-  cancellation, so binary64 suffices (the Riemann-Siegel move);
-* the unshifted contour (oracle) -- ``eval_aux_direct`` on
-  ``default_contour(t)``, crossing at 1/2.  It passes no pole, so it
-  takes nothing from the main sum, but it is badly conditioned: the integrand reaches magnitude
+* the shifted contour (production) -- ``eval_aux_direct(s, N + 1/2)``
+  with N the main sum's term count: the residues give the main sum and the
+  line, which now runs through the saddle of x^{-s} e^{i pi x^2}, adds the
+  remainder with no cancellation, so binary64 suffices (the Riemann-Siegel
+  move);
+* the unshifted contour (oracle) -- ``eval_aux_direct(s)``, crossing at
+  1/2.  It passes no pole, so it takes nothing from the main sum, but it is
+  badly conditioned: the integrand reaches magnitude
   exp(max_u [t arg x(u) - pi Im x(u)^2 - pi |Im x(u)|]) while the result
   stays O(t^{1/4}), so above t ~ 35 it runs in mpmath at a working
   precision sized to that cancellation.
@@ -35,7 +35,8 @@ t = 1000).  The ``AuxEval`` it returns -- value, method tag,
 error bound, work done -- is the record that the CLI writes to its cache
 and to the ``eval.csv`` row.  The contour's error bound is the observed
 change under one halving of the panel widths, refined until it is within
-``QUAD_REL`` (absolute plus relative).  ``critical_line_decomposition``
+``QUAD_REL`` (absolute plus relative), and never below the roundoff that
+the cancellation along the line amplifies.  ``critical_line_decomposition``
 exposes 2 e^{i theta(t)} R(1/2+it), whose real part is the classical Hardy
 function.
 """
@@ -45,7 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath.ctx_mp import MPContext
@@ -69,8 +70,13 @@ MAIN_SUM_ERROR_COEFF = 1.5
 T_SWITCH = 500.0
 QUAD_REL = 1.0e-9
 
+# the path is crossing + u e^{i pi/4}, |u| <= _path_extent, run from
+# u > 0 down to u < 0; e^{i pi x^2} decays at both ends only on a diagonal
+_DIRECTION = cmath.exp(1j * math.pi / 4.0)
 _MIN_POLE_DISTANCE = 0.2
-_MAX_NODES_PER_UNIT = 4096
+# panel widths are halved at most this many times (the finest pass has
+# panels 1/256 of the starting width)
+_MAX_HALVINGS = 8
 _FLOAT64_DIGIT_LIMIT = 5.0
 _HARD_T_LIMIT = 1000.0
 
@@ -111,60 +117,6 @@ def _dirichlet_sum(sigma: float, t: float, n_terms: int) -> complex:
     phase = np.mod(-t * log_n, 2.0 * np.pi).astype(np.float64)
     amp = n ** (-sigma)
     return complex(np.sum(amp * (np.cos(phase) + 1j * np.sin(phase))))
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Straight-line contour for the defining integral.
-
-    The path is crossing + u*exp(i*direction_angle), u in [-half_length,
-    half_length], traversed downward, from its upper-right end to its
-    lower-left end, whichever of the two diagonal angles is given.  The
-    crossing must be positive (the line then misses the branch cut of
-    x^{-s}) and at least 0.2 from the integrand poles at the integers,
-    measured perpendicular to the line; the Gaussian factor e^{i pi x^2}
-    only decays along directions with sin(2*angle) > 0, which pins the
-    slope.
-    """
-
-    crossing: float = 0.5
-    direction_angle: float = math.pi / 4.0
-    half_length: float = 8.0
-    nodes_per_unit: int = 32
-
-    def validate(self) -> None:
-        if not self.crossing > 0.0:
-            raise ContourError(f"crossing {self.crossing} is not positive")
-        k = (self.direction_angle - math.pi / 4.0) / math.pi
-        if abs(k - round(k)) > 1e-9:
-            raise ContourError(
-                "direction_angle must equal pi/4 modulo pi for the quadratic "
-                f"factor to decay, got {self.direction_angle}"
-            )
-        if math.sin(2.0 * self.direction_angle) <= 0.0:
-            raise ContourError("e^{i pi x^2} does not decay along this direction")
-        if not self.half_length > 0.0:
-            raise ContourError("half_length must be positive")
-        if self.nodes_per_unit < 1:
-            raise ContourError("nodes_per_unit must be >= 1")
-        sin_dir = abs(math.sin(self.direction_angle))
-        for n in range(-2, int(self.crossing + self.half_length) + 3):
-            if abs(n - self.crossing) * sin_dir < _MIN_POLE_DISTANCE:
-                raise ContourError(f"path passes within 0.2 of the pole at {n}")
-
-
-def default_contour(t: float, nodes_per_unit: int = 32) -> ContourSpec:
-    """Contour sized so the Gaussian factor is below 1e-14 at the endpoints."""
-    U = max(4.0, math.sqrt(max(t, 1.0) / math.pi) + 4.0)
-    return ContourSpec(crossing=0.5, direction_angle=math.pi / 4.0,
-                       half_length=U, nodes_per_unit=nodes_per_unit)
-
-
-def shifted_contour(t: float) -> ContourSpec:
-    """`default_contour` moved to cross at N + 1/2, N = n_main_terms(t):
-    halfway between the poles next to the saddle sqrt(t/2pi) of
-    x^{-s} e^{i pi x^2}, so the line passes through the saddle."""
-    return replace(default_contour(t), crossing=n_main_terms(t) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -228,12 +180,21 @@ def _gl_mp(order: int, dps: int):
     return out
 
 
-def _needed_digits(s: complex, contour: ContourSpec) -> float:
+def _path_extent(t: float, crossing: float) -> float:
+    """Half-length of the path, so that the integrand is below 1e-14 at both
+    ends: past the saddle sqrt(t/2pi) of x^{-s} e^{i pi x^2}, and on the
+    lower left out to Re x <= -2.3, since |e^{i pi x^2}| grows along the
+    line while Re x > 0 > Im x."""
+    return max(4.0, math.sqrt(max(t, 1.0) / math.pi) + 4.0,
+               math.sqrt(2.0) * (crossing + 2.3))
+
+
+def _needed_digits(s: complex, crossing: float) -> float:
     """Decimal digits destroyed by cancellation: max over the path of the
     integrand's log10-magnitude (the result itself is O(t^{1/4}))."""
-    U = contour.half_length
+    U = _path_extent(s.imag, crossing)
     u = np.linspace(-U, U, 8001)
-    x = contour.crossing + u * cmath.exp(1j * contour.direction_angle)
+    x = crossing + u * _DIRECTION
     m = (
         s.imag * np.angle(x)
         - math.pi * (2.0 * x.real * x.imag + np.abs(x.imag))
@@ -242,40 +203,35 @@ def _needed_digits(s: complex, contour: ContourSpec) -> float:
     return max(0.0, float(m.max())) / math.log(10.0)
 
 
-def _exponent_rate(s: complex, contour: ContourSpec, u: float) -> float:
+def _exponent_rate(s: complex, crossing: float, u: float) -> float:
     """Upper bound on |d/du| of the full complex exponent along the path
     (power factor, quadratic factor, and the bounded cotangent of the
     denominator)."""
-    x = complex(
-        contour.crossing + u * math.cos(contour.direction_angle),
-        u * math.sin(contour.direction_angle),
-    )
-    ax = abs(x)
+    ax = abs(complex(crossing + u * _DIRECTION.real, u * _DIRECTION.imag))
     return abs(s) / max(ax, 0.35) + TWO_PI * ax + 3.6
 
 
-def _panel_breaks(s: complex, contour: ContourSpec, phi_per_panel: float,
+def _panel_breaks(s: complex, crossing: float, phi_per_panel: float,
                   scale: float) -> list[float]:
-    U = contour.half_length
+    U = _path_extent(s.imag, crossing)
     breaks = [-U]
     u = -U
     while u < U:
-        w = min(0.5, phi_per_panel / _exponent_rate(s, contour, u)) * scale
+        w = min(0.5, phi_per_panel / _exponent_rate(s, crossing, u)) * scale
         u = min(U, u + w)
         breaks.append(u)
     return breaks
 
 
-def _quad_float(s: complex, contour: ContourSpec, scale: float) -> tuple[complex, int]:
+def _quad_float(s: complex, crossing: float, scale: float) -> tuple[complex, int]:
     """binary64 path: order-16 panels, fully vectorized."""
     glx, glw = _gl_float(16)
-    breaks = np.array(_panel_breaks(s, contour, 4.8, scale))
+    breaks = np.array(_panel_breaks(s, crossing, 4.8, scale))
     a, b = breaks[:-1], breaks[1:]
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     u = (mid[:, None] + hw[:, None] * glx[None, :]).ravel()
-    ei = cmath.exp(1j * contour.direction_angle)
-    x = contour.crossing + u * ei
+    x = crossing + u * _DIRECTION
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         E = -s * np.log(x) + 1j * math.pi * x * x
         w = np.exp(1j * math.pi * x)
@@ -283,10 +239,10 @@ def _quad_float(s: complex, contour: ContourSpec, scale: float) -> tuple[complex
     f = np.where(np.isfinite(f), f, 0.0)
     f = f.reshape(len(a), -1)
     total = complex(np.sum((f * glw[None, :]).sum(axis=1) * hw))
-    return -ei * total, u.size
+    return -_DIRECTION * total, u.size
 
 
-def _quad_mp(s: complex, contour: ContourSpec, scale: float,
+def _quad_mp(s: complex, crossing: float, scale: float,
              digits_needed: float) -> tuple[complex, int]:
     """Adaptive-precision path for serious cancellation."""
     dps = int(math.ceil((digits_needed + 22.0) / 20.0) * 20)
@@ -294,12 +250,11 @@ def _quad_mp(s: complex, contour: ContourSpec, scale: float,
     phi = order / ((math.e / 4.0) * 10.0 ** ((digits_needed + 15.0) / (2.0 * order)))
     ctx, nodes = _gl_mp(order, dps)
     s_mp = ctx.mpc(s.real, s.imag)
-    ei = ctx.expjpi(ctx.mpf(1) / 4) if abs(contour.direction_angle - math.pi / 4) < 1e-12 \
-        else ctx.exp(ctx.mpc(0, contour.direction_angle))
-    c_mp = ctx.mpf(contour.crossing)
+    ei = ctx.expjpi(ctx.mpf(1) / 4)
+    c_mp = ctx.mpf(crossing)
     pi_c = ctx.pi
     i_pi = ctx.mpc(0, 1) * pi_c
-    breaks = _panel_breaks(s, contour, phi, scale)
+    breaks = _panel_breaks(s, crossing, phi, scale)
     total = ctx.mpc(0)
     n_evals = 0
     for a, b in zip(breaks[:-1], breaks[1:]):
@@ -318,16 +273,20 @@ def _quad_mp(s: complex, contour: ContourSpec, scale: float,
     return complex(val), n_evals
 
 
-def eval_aux_direct(s: complex, contour: ContourSpec | None = None) -> AuxEval:
-    """R(s) by quadrature along `contour` (default: the unshifted
-    `default_contour`) plus the residues n^{-s} of the poles 1..M it
-    passes, M the integer part of its crossing.
+def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
+    """R(s) by quadrature along the line of slope 1 that crosses the real
+    axis at `crossing`, plus the residues n^{-s} of the poles 1..M it has
+    passed, M the integer part of the crossing.  The default, 1/2, is the
+    defining integral; the crossing must be positive (the line then misses
+    the branch cut of x^{-s}) and at least 0.2 from every pole, measured
+    across the line.
 
-    The error bound is observed, not modeled: the node density is doubled
-    and the value accepted once successive refinements agree within
-    `QUAD_REL` (absolute plus relative); the bound is their difference,
-    floored at 1e-14 relative.  Raises if agreement is not reached before
-    the density cap.
+    The error bound is observed, not modeled: the panel widths are halved
+    until successive values agree within `QUAD_REL` (absolute plus
+    relative).  The bound is their difference, floored at 1e-14 relative
+    and, in binary64, at the unit roundoff times the cancellation factor
+    10^digits that `_needed_digits` measures.  Raises if agreement is not
+    reached within `_MAX_HALVINGS` halvings.
     """
     s = complex(s)
     t = s.imag
@@ -336,42 +295,35 @@ def eval_aux_direct(s: complex, contour: ContourSpec | None = None) -> AuxEval:
     if t > _HARD_T_LIMIT:
         raise RangeExceededError(
             f"direct contour evaluation capped at t = {_HARD_T_LIMIT}")
-    if contour is None:
-        contour = default_contour(t)
-    contour.validate()
-    if math.sin(contour.direction_angle) < 0.0:
-        # the same line traversed upward: take the angle that runs it downward
-        contour = replace(contour, direction_angle=contour.direction_angle - math.pi)
-    poles = _dirichlet_sum(s.real, t, int(contour.crossing))
+    if not crossing > 0.0:
+        raise ContourError(f"crossing {crossing} is not positive")
+    if abs(crossing - round(crossing)) * _DIRECTION.imag < _MIN_POLE_DISTANCE:
+        raise ContourError(f"path passes within 0.2 of the pole at {round(crossing)}")
+    poles = _dirichlet_sum(s.real, t, int(crossing))
 
-    digits = _needed_digits(s, contour)
-    density = contour.nodes_per_unit
-    scale = 32.0 / density
+    digits = _needed_digits(s, crossing)
     use_float = digits <= _FLOAT64_DIGIT_LIMIT
+    floor = max(1e-14, 2.0 ** -52 * 10.0 ** digits) if use_float else 1e-14
 
-    def run(sc: float) -> tuple[complex, int]:
+    def run(scale: float) -> tuple[complex, int]:
         if use_float:
-            v, n = _quad_float(s, contour, sc)
+            v, n = _quad_float(s, crossing, scale)
         else:
-            v, n = _quad_mp(s, contour, sc, digits)
+            v, n = _quad_mp(s, crossing, scale, digits)
         return v + poles, n
 
-    v1, n1 = run(scale)
-    total_evals = n1
-    while True:
-        v2, n2 = run(scale / 2.0)
+    v1, total_evals = run(1.0)
+    for k in range(1, _MAX_HALVINGS + 1):
+        v2, n2 = run(0.5 ** k)
         total_evals += n2
         err = abs(v2 - v1)
         if err <= QUAD_REL * (1.0 + abs(v2)):
-            bound = max(err, 1e-14 * (1.0 + abs(v2)))
+            bound = max(err, floor * (1.0 + abs(v2)))
             return AuxEval(s, v2, DIRECT_CONTOUR_METHOD, bound, total_evals)
-        density *= 2
-        if density > _MAX_NODES_PER_UNIT:
-            raise QuadratureConvergenceError(
-                f"contour quadrature at s={s} still moving by {err:.3e} "
-                f"at the node-density cap")
-        scale /= 2.0
         v1 = v2
+    raise QuadratureConvergenceError(
+        f"contour quadrature at s={s} still moving by {err:.3e} "
+        f"after {_MAX_HALVINGS} halvings of the panel widths")
 
 
 def main_sum_error_bound(sigma: float, t: float) -> float:
@@ -387,7 +339,7 @@ def eval_aux(s: complex) -> AuxEval:
     if not t > 0.0:
         raise ValueError("eval_aux requires Im s > 0")
     if t <= T_SWITCH:
-        return eval_aux_direct(s, shifted_contour(t))
+        return eval_aux_direct(s, n_main_terms(t) + 0.5)
     value = main_sum(s.real, t)
     N = n_main_terms(t)
     return AuxEval(s, value, MAIN_SUM_METHOD, main_sum_error_bound(s.real, t), N)

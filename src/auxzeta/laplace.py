@@ -43,15 +43,15 @@ class LaplaceScanRow:
     tail_bound: float
 
 
-def power_law_stream(exponent: float, t_max: float, step: float = 0.02,
-                     sigma: float = 0.0, weighted: bool = True) -> MomentStream:
-    """Synthetic cumulative stream F(t) = t^exponent on a uniform grid
-    (calibration input that isolates interpolation error from model error)."""
-    t = np.arange(1.0, t_max + step, step)
-    return MomentStream(sigma=sigma, weighted=weighted, t=t, F=t**exponent)
+def power_law_stream(exponent: float, t_max: float) -> MomentStream:
+    """Synthetic cumulative stream F(t) = t^exponent on a uniform grid of step
+    0.02 (calibration input that isolates interpolation error from model
+    error)."""
+    t = np.arange(1.0, t_max + 0.02, 0.02)
+    return MomentStream(t=t, F=t**exponent)
 
 
-def laplace_numeric(sigma: float, epsilon: float, stream: MomentStream) -> float:
+def laplace_numeric(epsilon: float, stream: MomentStream) -> float:
     """eps * int_1^{T_max} F(t) e^{-eps t} dt with F piecewise linear on the
     stream grid; each interval is integrated in closed form with
     cancellation-safe kernels, so the only error is the interpolation of F.
@@ -104,8 +104,7 @@ def laplace_tail_bound(sigma: float, epsilon: float, t_max: float) -> float:
     return epsilon * coef * incomplete
 
 
-def laplace_ratio_scan(sigma: float, epsilon_grid: list[float],
-                       stream: MomentStream | None = None) -> list[LaplaceScanRow]:
+def laplace_ratio_scan(sigma: float, epsilon_grid: list[float]) -> list[LaplaceScanRow]:
     """Rows (numeric, predicted, ratio, tail bound) over a descending eps grid.
 
     One moment stream serves every epsilon.  Its reach is sized so that the
@@ -119,13 +118,10 @@ def laplace_ratio_scan(sigma: float, epsilon_grid: list[float],
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon grid must be strictly descending")
     t_need = max(DEFAULT_EPS_TMAX / min(eps_list), 60.0 / max(eps_list))
-    if stream is None:
-        stream = moment_stream(sigma, t_need, weighted=True)
-    if stream.t[-1] < t_need - 1e-9:
-        raise CoverageError("provided stream too short for the epsilon grid")
+    stream = moment_stream(sigma, t_need, weighted=True)
     rows = []
     for eps in eps_list:
-        numeric = laplace_numeric(sigma, eps, stream)
+        numeric = laplace_numeric(eps, stream)
         predicted = predict_laplace_weighted(sigma, eps)
         tail = laplace_tail_bound(sigma, eps, float(stream.t[-1]))
         if not tail <= 1.0e-15 * numeric:

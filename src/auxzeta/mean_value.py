@@ -57,17 +57,6 @@ class MeanValueSample:
     n_evals: int
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Diagonal and cross parts of the moment integral at (sigma, T)."""
-
-    diagonal: float
-    cross: float
-    sigma: float
-    T: float
-    weighted: bool
-
-
 def diagonal_closed_form(sigma: float, T: float, weighted: bool) -> float:
     """Exact diagonal part: sum_n n^{-2s} int_{2pi n^2}^T w(t) dt.
 
@@ -127,14 +116,6 @@ def cross_term_value(sigma: float, T: float, weighted: bool) -> float:
             part = osc_integral(lo, T, sigma, L)
             total += nn ** (-sigma) * m ** (-sigma) * scale * part
     return 2.0 * total
-
-
-def decomposition(sigma: float, T: float, weighted: bool) -> Decomposition:
-    return Decomposition(
-        diagonal=diagonal_closed_form(sigma, T, weighted),
-        cross=cross_term_value(sigma, T, weighted),
-        sigma=sigma, T=T, weighted=weighted,
-    )
 
 
 def panel_width(t: float) -> float:
@@ -201,14 +182,12 @@ def _fold_panels(sigma: float, weighted: bool, a: np.ndarray, b: np.ndarray
 class MomentStream:
     """Cumulative F(T) sampled at every panel edge of one streaming pass."""
 
-    sigma: float
-    weighted: bool
     t: np.ndarray
     F: np.ndarray
 
 
-def _stream(sigma: float, T_grid: list[float], weighted: bool,
-            panel_scale: float = 1.0) -> tuple[dict, MomentStream, int]:
+def _stream(sigma: float, T_grid: list[float], weighted: bool
+            ) -> tuple[dict, MomentStream, int]:
     """One deterministic streaming pass to max(T_grid).
 
     Returns ({T: (F(T), quad_error(T))}, full edge stream, n_evals).  The
@@ -219,13 +198,6 @@ def _stream(sigma: float, T_grid: list[float], weighted: bool,
     """
     T_max = max(T_grid)
     edges = _panel_edges(T_max, T_grid)
-    if panel_scale != 1.0:
-        k = max(1, int(round(1.0 / panel_scale)))
-        refined = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            refined.extend(np.linspace(a, b, k + 1)[:-1])
-        refined.append(edges[-1])
-        edges = np.asarray(refined)
     a_all, b_all = edges[:-1], edges[1:]
 
     F_edges = np.zeros(len(edges))
@@ -272,17 +244,14 @@ def _stream(sigma: float, T_grid: list[float], weighted: bool,
                 quad_err += rel * abs(float(F_edges[min(i_hi, j)] - F_edges[i_lo]))
         quad_err += 1e-13 * abs(F_T) + 64.0 * 2.220446049250313e-16 * abs(F_T)
         samples[T] = (F_T, quad_err)
-    stream = MomentStream(sigma, weighted, edges, F_edges)
+    stream = MomentStream(edges, F_edges)
     return samples, stream, n_evals
 
 
-def integrate_mean(sigma: float, t_grid: list[float], weighted: bool,
-                   panel_scale: float = 1.0) -> list[MeanValueSample]:
-    """Streaming moment values at each requested T (sorted ascending, >= 2pi).
-
-    One pass serves the whole grid; `panel_scale` < 1 refines every panel
-    (used by the refinement contract test).
-    """
+def integrate_mean(sigma: float, t_grid: list[float], weighted: bool
+                   ) -> list[MeanValueSample]:
+    """Streaming moment values at each requested T (sorted ascending, >= 2pi);
+    one pass serves the whole grid."""
     if len(t_grid) == 0:
         return []
     grid = [float(T) for T in t_grid]
@@ -290,7 +259,7 @@ def integrate_mean(sigma: float, t_grid: list[float], weighted: bool,
         raise ValueError("T grid must be strictly ascending")
     if grid[0] < TWO_PI:
         raise ValueError("T grid must start at or above 2*pi")
-    samples, _, n_evals = _stream(sigma, grid, weighted, panel_scale)
+    samples, _, n_evals = _stream(sigma, grid, weighted)
     return [MeanValueSample(sigma, T, weighted, raw / T, raw, quad_err, n_evals)
             for T, (raw, quad_err) in samples.items()]
 
@@ -306,8 +275,8 @@ def decomposition_check(sigma: float, T: float, weighted: bool) -> float:
     (diagonal + |cross|).  Both sides are computed independently; the
     identity is exact, so this measures pure quadrature error.
     """
-    parts = decomposition(sigma, T, weighted)
+    diagonal = diagonal_closed_form(sigma, T, weighted)
+    cross = cross_term_value(sigma, T, weighted)
     samples, _, _ = _stream(sigma, [float(T)], weighted)
     lhs = samples[float(T)][0]
-    rhs = parts.diagonal + parts.cross
-    return abs(lhs - rhs) / (parts.diagonal + abs(parts.cross))
+    return abs(lhs - (diagonal + cross)) / (diagonal + abs(cross))

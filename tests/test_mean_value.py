@@ -7,9 +7,9 @@ import pytest
 
 from auxzeta.bound_checks import osc_integral
 from auxzeta.errors import BudgetExceededError
-from auxzeta.mean_value import (cross_term_value, decomposition,
-                                decomposition_check, diagonal_closed_form,
-                                integrate_mean, moment_stream)
+from auxzeta.mean_value import (cross_term_value, decomposition_check,
+                                diagonal_closed_form, integrate_mean,
+                                moment_stream)
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,9 +97,9 @@ class TestDecomposition:
         assert decomposition_check(sigma, TWO_PI * 400.0, weighted) <= 1e-6
 
     def test_parts_recorded(self):
-        d = decomposition(0.5, TWO_PI * 100.0, True)
-        assert d.diagonal >= 0.0
-        assert math.isfinite(d.cross)
+        T = TWO_PI * 100.0
+        assert diagonal_closed_form(0.5, T, True) >= 0.0
+        assert math.isfinite(cross_term_value(0.5, T, True))
 
 
 class TestIntegrateMean:
@@ -113,10 +113,15 @@ class TestIntegrateMean:
             assert s.value == s.raw_integral / s.T
 
     def test_panel_refinement_within_quad_error(self):
-        grid = [TWO_PI * 100.0]
-        base = integrate_mean(0.0, grid, weighted=True)[0]
-        fine = integrate_mean(0.0, grid, weighted=True, panel_scale=0.5)[0]
-        assert abs(base.raw_integral - fine.raw_integral) < base.quad_error
+        # quad_error, the panel-halving estimate, covers the stream's true
+        # error, measured against the independent diagonal + cross split
+        T = TWO_PI * 100.0
+        for sigma, weighted in ((0.0, True), (0.5, True), (-1.0, True),
+                                (0.5, False), (2.0, False)):
+            sample = integrate_mean(sigma, [T], weighted)[0]
+            split = (diagonal_closed_form(sigma, T, weighted)
+                     + cross_term_value(sigma, T, weighted))
+            assert abs(sample.raw_integral - split) <= sample.quad_error, (sigma, weighted)
 
     def test_quad_error_cumulative_per_row(self):
         # grid points at term-entry points 2 pi n^2, which are panel edges
