@@ -24,28 +24,28 @@ residues, exactly n^{-s} each, which gives three routes:
   stays O(t^{1/4}), so above t ~ 35 it runs in mpmath at a working
   precision sized to that cancellation.
 
-Both contours use composite Gauss-Legendre quadrature.  Panel widths
-shrink inversely with the local derivative of the full complex exponent
-and the Gauss order grows with the required digits, which keeps the node
-count near two per radian of exponent variation instead of exploding.
+Both contours use one rule, the nested trapezoidal sum, in binary64 or
+in mpmath.  Along the line the integrand is analytic in a strip and
+decays like a Gaussian at both ends, so the equispaced sum converges
+exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014), and each
+halving of the step reuses every node already summed.
 
 ``eval_aux`` is the one production evaluator: the shifted contour up to
 ``T_SWITCH``, the truncated sum above (the contour is capped at
 t = 1000).  The ``AuxEval`` it returns -- value, method tag,
 error bound, work done -- is the record that the CLI writes to its cache
 and to the ``eval.csv`` row.  The contour's error bound is the observed
-change under one halving of the panel widths, refined until it is within
-``QUAD_REL`` (absolute plus relative), and never below the roundoff that
-the cancellation along the line amplifies.  ``critical_line_decomposition``
-exposes 2 e^{i theta(t)} R(1/2+it), whose real part is the classical Hardy
-function.
+change under the last halving of the step, once two successive changes
+are within ``QUAD_REL`` (absolute plus relative), and never below the
+roundoff that the cancellation along the line amplifies.
+``critical_line_decomposition`` exposes 2 e^{i theta(t)} R(1/2+it), whose
+real part is the classical Hardy function.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +66,7 @@ DIRECT_CONTOUR_METHOD = "DirectContour"
 MAIN_SUM_ERROR_COEFF = 1.5
 
 # eval_aux takes the shifted contour for t <= T_SWITCH, the sum above; the
-# contour halves its panels until successive values agree within QUAD_REL
+# contour halves its step until two successive differences are within QUAD_REL
 T_SWITCH = 500.0
 QUAD_REL = 1.0e-9
 
@@ -74,9 +74,11 @@ QUAD_REL = 1.0e-9
 # u > 0 down to u < 0; e^{i pi x^2} decays at both ends only on a diagonal
 _DIRECTION = cmath.exp(1j * math.pi / 4.0)
 _MIN_POLE_DISTANCE = 0.2
-# panel widths are halved at most this many times (the finest pass has
-# panels 1/256 of the starting width)
-_MAX_HALVINGS = 8
+# the trapezoidal step starts at 1/2 and is halved at most _MAX_HALVINGS
+# times; the unshifted line at (1/2, 1000), the hardest point under the t
+# cap, stops after 10
+_FIRST_STEP = 0.5
+_MAX_HALVINGS = 12
 _FLOAT64_DIGIT_LIMIT = 5.0
 _HARD_T_LIMIT = 1000.0
 
@@ -132,53 +134,8 @@ class AuxEval:
 
 
 # ---------------------------------------------------------------------------
-# quadrature machinery
+# quadrature: the nested trapezoidal rule along the line
 # ---------------------------------------------------------------------------
-
-_gl_float_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_gl_mp_cache: dict[tuple[int, int], tuple] = {}
-_gl_lock = threading.Lock()
-
-
-def _gl_float(order: int) -> tuple[np.ndarray, np.ndarray]:
-    with _gl_lock:
-        if order not in _gl_float_cache:
-            _gl_float_cache[order] = np.polynomial.legendre.leggauss(order)
-        return _gl_float_cache[order]
-
-
-def _legendre_pair(ctx, order: int, x):
-    p0, p1 = ctx.mpf(1), x
-    for k in range(2, order + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = order * (x * p1 - p0) / (x * x - 1)
-    return p1, dp
-
-def _gl_mp(order: int, dps: int):
-    """Gauss-Legendre nodes/weights at `dps` digits, cached with a context
-    of their own.  Float seeds are Newton-polished; convergence is quadratic
-    so five iterations cover any dps this package uses."""
-    key = (order, dps)
-    with _gl_lock:
-        hit = _gl_mp_cache.get(key)
-    if hit is not None:
-        return hit
-    ctx = MPContext()
-    ctx.dps = dps + 10
-    seeds, _ = _gl_float(order)
-    nodes = []
-    for x0 in seeds:
-        x = ctx.mpf(float(x0))
-        for _ in range(5):
-            p, dp = _legendre_pair(ctx, order, x)
-            x = x - p / dp
-        p, dp = _legendre_pair(ctx, order, x)
-        nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
-    out = (ctx, nodes)
-    with _gl_lock:
-        _gl_mp_cache[key] = out
-    return out
-
 
 def _path_extent(t: float, crossing: float) -> float:
     """Half-length of the path, so that the integrand is below 1e-14 at both
@@ -203,74 +160,31 @@ def _needed_digits(s: complex, crossing: float) -> float:
     return max(0.0, float(m.max())) / math.log(10.0)
 
 
-def _exponent_rate(s: complex, crossing: float, u: float) -> float:
-    """Upper bound on |d/du| of the full complex exponent along the path
-    (power factor, quadratic factor, and the bounded cotangent of the
-    denominator)."""
-    ax = abs(complex(crossing + u * _DIRECTION.real, u * _DIRECTION.imag))
-    return abs(s) / max(ax, 0.35) + TWO_PI * ax + 3.6
-
-
-def _panel_breaks(s: complex, crossing: float, phi_per_panel: float,
-                  scale: float) -> list[float]:
-    U = _path_extent(s.imag, crossing)
-    breaks = [-U]
-    u = -U
-    while u < U:
-        w = min(0.5, phi_per_panel / _exponent_rate(s, crossing, u)) * scale
-        u = min(U, u + w)
-        breaks.append(u)
-    return breaks
-
-
-def _quad_float(s: complex, crossing: float, scale: float) -> tuple[complex, int]:
-    """binary64 path: order-16 panels, fully vectorized."""
-    glx, glw = _gl_float(16)
-    breaks = np.array(_panel_breaks(s, crossing, 4.8, scale))
-    a, b = breaks[:-1], breaks[1:]
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    u = (mid[:, None] + hw[:, None] * glx[None, :]).ravel()
+def _quad_float(s: complex, crossing: float, u: np.ndarray) -> tuple[complex, int]:
+    """binary64 pass: the sum of the integrand over the nodes u of the
+    path, and their count.  A value that is not finite counts as 0."""
     x = crossing + u * _DIRECTION
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        E = -s * np.log(x) + 1j * math.pi * x * x
         w = np.exp(1j * math.pi * x)
-        f = np.exp(E) / (w - 1.0 / w)
-    f = np.where(np.isfinite(f), f, 0.0)
-    f = f.reshape(len(a), -1)
-    total = complex(np.sum((f * glw[None, :]).sum(axis=1) * hw))
-    return -_DIRECTION * total, u.size
+        f = np.exp(-s * np.log(x) + 1j * math.pi * x * x) / (w - 1.0 / w)
+    return complex(np.sum(f[np.isfinite(f)])), u.size
 
 
-def _quad_mp(s: complex, crossing: float, scale: float,
-             digits_needed: float) -> tuple[complex, int]:
-    """Adaptive-precision path for serious cancellation."""
-    dps = int(math.ceil((digits_needed + 22.0) / 20.0) * 20)
-    order = max(48, min(384, int(16 * round(1.3 * (digits_needed + 15.0) / 16.0))))
-    phi = order / ((math.e / 4.0) * 10.0 ** ((digits_needed + 15.0) / (2.0 * order)))
-    ctx, nodes = _gl_mp(order, dps)
+def _quad_mp(s: complex, crossing: float, u: np.ndarray,
+             ctx: MPContext) -> tuple:
+    """mpmath pass at the working precision of `ctx`: the sum of the
+    integrand over the nodes u of the path, left in `ctx` so that the
+    running sum keeps every digit the cancellation needs, and their
+    count.  The nodes are dyadic, so they convert to mp exactly."""
     s_mp = ctx.mpc(s.real, s.imag)
     ei = ctx.expjpi(ctx.mpf(1) / 4)
-    c_mp = ctx.mpf(crossing)
-    pi_c = ctx.pi
-    i_pi = ctx.mpc(0, 1) * pi_c
-    breaks = _panel_breaks(s, crossing, phi, scale)
+    i_pi = ctx.mpc(0, ctx.pi)
     total = ctx.mpc(0)
-    n_evals = 0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        am, bm = ctx.mpf(a), ctx.mpf(b)
-        hw = (bm - am) / 2
-        mid = (am + bm) / 2
-        acc = ctx.mpc(0)
-        for xk, wk in nodes:
-            x = c_mp + (mid + hw * xk) * ei
-            E = -s_mp * ctx.log(x) + i_pi * x * x
-            w = ctx.exp(i_pi * x)
-            acc += wk * (ctx.exp(E) / (w - 1 / w))
-            n_evals += 1
-        total += acc * hw
-    val = -ei * total
-    return complex(val), n_evals
+    for uk in u.tolist():
+        x = crossing + uk * ei
+        w = ctx.exp(i_pi * x)
+        total += ctx.exp(i_pi * x * x - s_mp * ctx.log(x)) / (w - 1 / w)
+    return total, u.size
 
 
 def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
@@ -281,12 +195,17 @@ def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
     the branch cut of x^{-s}) and at least 0.2 from every pole, measured
     across the line.
 
-    The error bound is observed, not modeled: the panel widths are halved
-    until successive values agree within `QUAD_REL` (absolute plus
-    relative).  The bound is their difference, floored at 1e-14 relative
-    and, in binary64, at the unit roundoff times the cancellation factor
-    10^digits that `_needed_digits` measures.  Raises if agreement is not
-    reached within `_MAX_HALVINGS` halvings.
+    The rule is the trapezoidal sum over the nodes u = k h, |u| <=
+    `_path_extent`.  The step h starts at 1/2 and is halved, and each
+    halving evaluates only the new odd-k nodes, so no node is computed
+    twice.  The integrand is analytic in a strip about the line and
+    decays like a Gaussian at both ends, so the sums converge
+    exponentially.  The error bound is observed, not modeled: the step is
+    halved until two successive differences are within `QUAD_REL`
+    (absolute plus relative).  The bound is the last difference, floored
+    at 1e-14 relative and, in binary64, at the unit roundoff times the
+    cancellation factor 10^digits that `_needed_digits` measures.  Raises
+    if that is not reached within `_MAX_HALVINGS` halvings.
     """
     s = complex(s)
     t = s.imag
@@ -302,28 +221,37 @@ def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
     poles = _dirichlet_sum(s.real, t, int(crossing))
 
     digits = _needed_digits(s, crossing)
-    use_float = digits <= _FLOAT64_DIGIT_LIMIT
-    floor = max(1e-14, 2.0 ** -52 * 10.0 ** digits) if use_float else 1e-14
+    if digits <= _FLOAT64_DIGIT_LIMIT:
+        ctx, total = None, 0j
+        floor = max(1e-14, 2.0 ** -52 * 10.0 ** digits)
+    else:
+        ctx = MPContext()
+        ctx.dps = int(math.ceil((digits + 22.0) / 20.0) * 20)
+        total, floor = ctx.mpc(0), 1e-14
 
-    def run(scale: float) -> tuple[complex, int]:
-        if use_float:
-            v, n = _quad_float(s, crossing, scale)
-        else:
-            v, n = _quad_mp(s, crossing, scale, digits)
-        return v + poles, n
-
-    v1, total_evals = run(1.0)
-    for k in range(1, _MAX_HALVINGS + 1):
-        v2, n2 = run(0.5 ** k)
-        total_evals += n2
-        err = abs(v2 - v1)
-        if err <= QUAD_REL * (1.0 + abs(v2)):
-            bound = max(err, floor * (1.0 + abs(v2)))
-            return AuxEval(s, v2, DIRECT_CONTOUR_METHOD, bound, total_evals)
-        v1 = v2
+    U = _path_extent(t, crossing)
+    h = _FIRST_STEP
+    n_evals = agreed = 0
+    for level in range(_MAX_HALVINGS + 1):
+        k = np.arange(-math.floor(U / h), math.floor(U / h) + 1)
+        if level:
+            k = k[k % 2 == 1]
+        part, n = (_quad_float(s, crossing, k * h) if ctx is None
+                   else _quad_mp(s, crossing, k * h, ctx))
+        total += part
+        n_evals += n
+        value = complex(-_DIRECTION * h * total) + poles
+        if level:
+            err = abs(value - prev)
+            agreed = agreed + 1 if err <= QUAD_REL * (1.0 + abs(value)) else 0
+            if agreed == 2:
+                bound = max(err, floor * (1.0 + abs(value)))
+                return AuxEval(s, value, DIRECT_CONTOUR_METHOD, bound, n_evals)
+        prev = value
+        h /= 2.0
     raise QuadratureConvergenceError(
         f"contour quadrature at s={s} still moving by {err:.3e} "
-        f"after {_MAX_HALVINGS} halvings of the panel widths")
+        f"after {_MAX_HALVINGS} halvings of the step")
 
 
 def main_sum_error_bound(sigma: float, t: float) -> float:

@@ -27,7 +27,8 @@ from dataclasses import replace
 from .aux_eval import AuxEval
 from .errors import CacheIntegrityError
 
-FORMAT_TAG = "auxzeta-eval-cache 2: shifted contour to t = 500, main sum above"
+FORMAT_TAG = ("auxzeta-eval-cache 3: shifted contour by the nested trapezoidal "
+              "rule to t = 500, main sum above")
 _HEADER = (FORMAT_TAG + "\n").encode("utf-8")
 
 

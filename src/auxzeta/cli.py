@@ -250,8 +250,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if args.cache and args.command != "eval":
             raise ValueError("--cache applies to eval only")
+        if args.criteria and args.command != "verify":
+            raise ValueError("--criteria applies to verify only")
         cfg = load_config(args.config) if args.config else RunConfig().validate()
-        criteria = ([int(x) for x in args.criteria.split(",")]
+        # each named criterion runs once, however often it is named
+        criteria = (sorted({int(x) for x in args.criteria.split(",")})
                     if args.criteria else None)
         unknown = sorted(set(criteria or ()) - set(acceptance.CRITERIA))
         if unknown:

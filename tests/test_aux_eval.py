@@ -125,6 +125,43 @@ class TestDirectContour:
         with pytest.raises(ValueError):
             eval_aux_direct(complex(0.0, -5.0))
 
+    @pytest.mark.parametrize("sigma,t,crossing", [(0.5, 20.0, 0.5), (0.0, 60.0, 3.5)])
+    def test_levels_are_nested(self, monkeypatch, sigma, t, crossing):
+        # each halving of the step evaluates only the new nodes, so the
+        # count is that of the finest level alone, 2 floor(U/h) + 1
+        seen = []
+        quad = aux_eval._quad_float
+
+        def recording(s, c, u):
+            seen.append(u)
+            return quad(s, c, u)
+        monkeypatch.setattr(aux_eval, "_quad_float", recording)
+        r = eval_aux_direct(complex(sigma, t), crossing)
+        nodes = np.concatenate(seen)
+        assert np.unique(nodes).size == nodes.size == r.n_evals
+        U = aux_eval._path_extent(t, crossing)
+        h = aux_eval._FIRST_STEP * 0.5 ** (len(seen) - 1)
+        assert r.n_evals == 2 * math.floor(U / h) + 1
+        assert np.abs(nodes).max() <= U
+
+    def test_both_arithmetics_agree(self, monkeypatch):
+        # binary64 suffices at (1/2, 30); the mp pass, forced there, must
+        # give the same value within the binary64 bound
+        s = complex(0.5, 30.0)
+        f64 = eval_aux_direct(s)
+        calls = []
+        quad_mp = aux_eval._quad_mp
+
+        def counting(*args):
+            calls.append(args[2].size)
+            return quad_mp(*args)
+        monkeypatch.setattr(aux_eval, "_quad_mp", counting)
+        monkeypatch.setattr(aux_eval, "_FLOAT64_DIGIT_LIMIT", -1.0)
+        mp = eval_aux_direct(s)
+        assert calls and sum(calls) == mp.n_evals
+        assert abs(mp.value - f64.value) <= f64.error_bound
+        assert mp.error_bound <= f64.error_bound
+
 
 class TestShiftedRoute:
     @pytest.mark.parametrize("sigma,t", [(sigma, t) for sigma in (0.0, 0.5, 1.0)

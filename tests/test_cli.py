@@ -95,6 +95,22 @@ class TestEval:
         assert not os.path.exists(tmp_path / "out" / "eval.csv")
         assert _read(cache) == b"0.0\t30.0\tDirectContour\t1e-09\t0.5\t0.25\n"
 
+    def test_cache_of_previous_route_is_error(self, tmp_path, capsys):
+        # a file tagged by the Gauss-Legendre version, whose contour values
+        # differ in their last bits from this version's
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, "sigma_list = 0\nt_grid = 30\n")
+        cache = tmp_path / "cache.txt"
+        old = ("auxzeta-eval-cache 2: shifted contour to t = 500, main sum above\n"
+               "0.0\t30.0\tDirectContour\t0.5\t0.25\t1e-14\n")
+        _write(cache, old)
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--cache", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cache) in err
+        assert not os.path.exists(tmp_path / "out" / "eval.csv")
+        assert _read(cache) == old.encode()
+
     def test_schema(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         _write(cfg, "sigma_list = 0\nt_grid = 30\n")
@@ -193,6 +209,18 @@ class TestVerifyAndErrors:
         assert main(["verify", "--out", str(tmp_path), "--criteria", "1,10"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(tmp_path / "verify.csv")
+
+    def test_repeated_criterion_runs_once(self, tmp_path):
+        assert main(["verify", "--out", str(tmp_path), "--criteria", "6,6"]) == 0
+        lines = _read(tmp_path / "verify.csv").decode().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("6,")
+        report = _read(tmp_path / "verify_report.txt").decode()
+        assert report.count("criterion 6 [PASS]") == 1
+
+    def test_criteria_outside_verify_is_error(self, tmp_path, capsys):
+        assert main(["eval", "--out", str(tmp_path), "--criteria", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(tmp_path / "eval.csv")
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_error(self, tmp_path, capsys, threads):
