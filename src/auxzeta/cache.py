@@ -27,8 +27,9 @@ from dataclasses import replace
 from .aux_eval import AuxEval
 from .errors import CacheIntegrityError
 
-FORMAT_TAG = ("auxzeta-eval-cache 3: shifted contour by the nested trapezoidal "
-              "rule to t = 500, main sum above")
+FORMAT_TAG = ("auxzeta-eval-cache 4: shifted contour by the nested trapezoidal "
+              "rule to t = 500, main sum above, phases reduced modulo an "
+              "extended-precision 2pi")
 _HEADER = (FORMAT_TAG + "\n").encode("utf-8")
 
 

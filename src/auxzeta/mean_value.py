@@ -5,8 +5,8 @@ engine computes
 
     F(T) = int_1^T |S(t)|^2 w(t) dt
 
-(a) by a streaming composite Gauss-Legendre pass over a deterministic
-panel decomposition, and (b) through the exact split
+(a) by a streaming order-8 Gauss-Legendre pass over runs of equal panels,
+and (b) through the exact split
 
     F(T) = [diagonal]  sum_{n} n^{-2s} int_{2pi n^2}^T w(t) dt
          + [cross]   2 sum_{m<n} (nm)^{-s} int_{2pi n^2}^T w(t) cos(t log(n/m)) dt,
@@ -16,17 +16,21 @@ exact sine difference (unweighted) or a per-pair oscillatory quadrature
 (weighted).  The two routes agreeing to quadrature tolerance is the core
 exactness check of the package.
 
-The quadrature integrand is |main_sum|^2 throughout: this is the quantity
-the decomposition identity and the asymptotic envelopes are written for,
-and it is what stays affordable over grids reaching T = 2pi*1e4.  Pointwise
-cross-validation of the truncated sum against the defining contour
-integral lives in :mod:`auxzeta.aux_eval`.
+A run lies between two consecutive term-entry points 2pi n^2 or requested
+T's, so the term count N and the panel width h are fixed on it, and at the
+node lo + (jB + i) h + h/2 + (h/2) x_m of its k panels n^{-it} is a block
+factor times an in-block factor (B ~ sqrt(k)) times a node factor.  S at
+every node of a run then takes about (2 sqrt(k) + 8) N exponentials and
+one matrix product instead of 8 k N exponentials: the phase factoring of
+Odlyzko and Schonhage (Trans. AMS 309, 1988) without the rest of their
+algorithm.  Pointwise validation of S against the contour integral lives
+in :mod:`auxzeta.aux_eval`.
 
-Determinism contract: the panel decomposition is a pure function of
-(T_max, grid, term-entry points), panels are folded in ascending order,
-and no threading happens inside a single stream, so identical
-configurations give bit-identical samples regardless of the caller's
-thread budget.
+Determinism contract: the runs are a pure function of (T_max, grid), each
+is folded in ascending order, and a stream starts no threads; its matrix
+products run in BLAS, whose threads split rows but never the sum over n,
+so identical configurations give bit-identical samples regardless of the
+caller's thread budget.
 """
 
 from __future__ import annotations
@@ -36,12 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aux_eval import TWO_PI, n_main_terms
+from .aux_eval import TWO_PI, TWO_PI_LONG, n_main_terms
 from .bound_checks import _GLW8, _GLX8, osc_integral
 from .errors import BudgetExceededError
 
 _PAIR_BUDGET_SQRT = 1500.0
-_CHUNK_PANELS = 4096
+# panels x terms in one product of block and in-block factors (4 MiB of
+# complex128), so memory does not grow with a run's length or N
+_CHUNK_TERMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -124,58 +130,56 @@ def panel_width(t: float) -> float:
     return min(0.25, math.pi / (4.0 * math.log(2.0 + math.sqrt(t / TWO_PI))))
 
 
-def _panel_edges(T_max: float, markers: list[float]) -> np.ndarray:
-    """Deterministic panel decomposition of [1, T_max].
+def _runs(T_max: float, markers: list[float]) -> list[tuple[float, float, int]]:
+    """Deterministic decomposition of [1, T_max] into runs (lo, hi, k).
 
-    Edges are placed by marching with `panel_width` and snapped to every
-    marker: the term-entry points 2 pi n^2 (where |S|^2 jumps) and every
-    requested grid T (where a sample is emitted).
+    Run ends are snapped to every marker: the term-entry points 2 pi n^2
+    (where |S|^2 jumps) and every requested grid T (where a sample is
+    emitted).  A run is cut into k equal panels, none wider than
+    `panel_width` at its right end.
     """
     special = sorted({TWO_PI * k * k for k in range(1, int(math.sqrt(T_max / TWO_PI)) + 2)
                       if 1.0 < TWO_PI * k * k < T_max}
                      | {float(m) for m in markers if 1.0 < m < T_max}
                      | {T_max})
-    edges = [1.0]
-    t = 1.0
-    si = 0
-    while t < T_max:
-        while si < len(special) and special[si] <= t + 1e-12:
-            si += 1
-        ceiling = special[si] if si < len(special) else T_max
-        t = min(t + panel_width(t), ceiling)
-        edges.append(t)
-    return np.asarray(edges)
+    runs = []
+    lo = 1.0
+    for hi in special:
+        if hi > lo + 1e-12:
+            runs.append((lo, hi, math.ceil((hi - lo) / panel_width(hi))))
+            lo = hi
+    return runs
 
 
-def _abs_sq_main_sum(sigma: float, t_nodes: np.ndarray, weighted: bool) -> np.ndarray:
-    """|S(t)|^2 w(t) on a flat node array, vectorized over a shared term matrix."""
-    x2 = t_nodes / TWO_PI
-    N = np.floor(np.sqrt(x2)).astype(np.int64)
-    N += ((N + 1).astype(np.float64) ** 2 <= x2)
-    N -= (N.astype(np.float64) ** 2 > x2)
-    n_max = int(N.max()) if len(N) else 0
-    if n_max == 0:
-        vals = np.zeros_like(t_nodes)
-    else:
-        n = np.arange(1, n_max + 1, dtype=np.float64)
-        phases = np.exp(-1j * np.outer(t_nodes, np.log(n)))
-        terms = phases * (n ** (-sigma))[None, :]
-        terms *= (n[None, :] <= N[:, None])
-        S = terms.sum(axis=1)
+def _phases(x: np.ndarray, log_n: np.ndarray) -> np.ndarray:
+    """exp(-i x log n) on the outer grid, reduced mod 2pi in extended precision."""
+    return np.exp(-1j * np.mod(np.outer(x, log_n), TWO_PI_LONG).astype(np.float64))
+
+
+def _fold_run(sigma: float, weighted: bool, lo: float, h: float, k: int, N: int
+              ) -> np.ndarray:
+    """Order-8 Gauss-Legendre contributions of the k panels of width h from
+    lo, on which S has N terms, by the block x in-block x node factoring."""
+    if N == 0:
+        return np.zeros(k)
+    B = math.isqrt(k - 1) + 1
+    n_blocks = -(-k // B)
+    log_n = np.log(np.arange(1, N + 1, dtype=np.longdouble))
+    block = _phases(lo + h * (0.5 + B * np.arange(n_blocks, dtype=np.longdouble)), log_n)
+    inner = _phases(h * np.arange(B, dtype=np.longdouble), log_n)
+    node = (np.arange(1.0, N + 1.0)[:, None] ** -sigma
+            * _phases(0.5 * h * _GLX8.astype(np.longdouble), log_n).T)
+    contrib = np.empty(n_blocks * B)
+    step = max(1, _CHUNK_TERMS // (B * N))
+    for j0 in range(0, n_blocks, step):
+        S = (block[j0:j0 + step, None, :] * inner[None, :, :]).reshape(-1, N) @ node
         vals = S.real**2 + S.imag**2
-    if weighted:
-        vals = vals * x2**sigma
-    return vals
-
-
-def _fold_panels(sigma: float, weighted: bool, a: np.ndarray, b: np.ndarray
-                 ) -> tuple[np.ndarray, int]:
-    """Gauss-Legendre order-8 contributions of panels [a_i, b_i], in order."""
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    nodes = (mid[:, None] + hw[:, None] * _GLX8[None, :]).ravel()
-    vals = _abs_sq_main_sum(sigma, nodes, weighted).reshape(len(a), -1)
-    return (vals * _GLW8[None, :]).sum(axis=1) * hw, nodes.size
+        p0 = j0 * B
+        if weighted:
+            mid = lo + h * (0.5 + np.arange(p0, p0 + len(vals)))
+            vals *= ((mid[:, None] + 0.5 * h * _GLX8[None, :]) / TWO_PI) ** sigma
+        contrib[p0:p0 + len(vals)] = (vals * _GLW8[None, :]).sum(axis=1) * (0.5 * h)
+    return contrib[:k]
 
 
 @dataclass(frozen=True)
@@ -192,41 +196,38 @@ def _stream(sigma: float, T_grid: list[float], weighted: bool
 
     Returns ({T: (F(T), quad_error(T))}, full edge stream, n_evals).  The
     quadrature error is estimated by one step-halving verification per
-    decade of t, on a leading window of that decade; quad_error(T) sums
-    that relative error times each decade's contribution up to T, plus a
-    roundoff floor.
+    decade of t, on the leading 64 panels of the decade's first run with
+    terms; quad_error(T) sums that relative error times each decade's
+    contribution up to T, plus a roundoff floor.
     """
     T_max = max(T_grid)
-    edges = _panel_edges(T_max, T_grid)
-    a_all, b_all = edges[:-1], edges[1:]
-
+    x = math.sqrt(T_max / TWO_PI)
+    if x > _PAIR_BUDGET_SQRT:
+        raise BudgetExceededError(f"sqrt(T/2pi) = {x:.1f} exceeds {_PAIR_BUDGET_SQRT}")
+    runs = _runs(T_max, T_grid)
+    edges = np.concatenate([lo + (hi - lo) / k * np.arange(k) for lo, hi, k in runs]
+                           + [[T_max]])
     F_edges = np.zeros(len(edges))
-    n_evals = 0
-    F = 0.0
-    for i0 in range(0, len(a_all), _CHUNK_PANELS):
-        a = a_all[i0:i0 + _CHUNK_PANELS]
-        b = b_all[i0:i0 + _CHUNK_PANELS]
-        contrib, ne = _fold_panels(sigma, weighted, a, b)
-        n_evals += ne
-        cs = np.cumsum(contrib)
-        F_edges[i0 + 1:i0 + 1 + len(cs)] = F + cs
-        F = float(F + cs[-1])
+    i = 1
+    for lo, hi, k in runs:
+        contrib = _fold_run(sigma, weighted, lo, (hi - lo) / k, k,
+                            n_main_terms(0.5 * (lo + hi)))
+        F_edges[i:i + k] = F_edges[i - 1] + np.cumsum(contrib)
+        i += k
+    n_evals = 8 * (len(edges) - 1)
 
     # per-decade halving verification on a leading window
     decades = []  # (edge index of lo, edge index of hi, relative error)
     lo = 1.0
     while lo < T_max:
         hi = min(lo * 10.0, T_max)
-        sel = np.nonzero((a_all >= lo) & (a_all < hi))[0]
-        if len(sel):
-            win = sel[:64]
-            aw, bw = a_all[win], b_all[win]
-            coarse, ne1 = _fold_panels(sigma, weighted, aw, bw)
-            mw = 0.5 * (aw + bw)
-            ah = np.concatenate([aw, mw])
-            bh = np.concatenate([mw, bw])
-            fine, ne2 = _fold_panels(sigma, weighted, ah, bh)
-            n_evals += ne1 + ne2
+        run = next((r for r in runs if lo <= r[0] < hi and r[0] >= TWO_PI), None)
+        if run is not None:
+            a, b, k = run
+            kw, h, N = min(k, 64), (b - a) / k, n_main_terms(0.5 * (a + b))
+            coarse = _fold_run(sigma, weighted, a, h, kw, N)
+            fine = _fold_run(sigma, weighted, a, 0.5 * h, 2 * kw, N)
+            n_evals += 24 * kw
             win_val = float(np.sum(np.abs(coarse)))
             diff = abs(float(np.sum(coarse) - np.sum(fine)))
             rel = diff / win_val if win_val > 0 else 0.0

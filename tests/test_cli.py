@@ -111,6 +111,22 @@ class TestEval:
         assert not os.path.exists(tmp_path / "out" / "eval.csv")
         assert _read(cache) == old.encode()
 
+    def test_cache_before_phase_fix_is_error(self, tmp_path, capsys):
+        # tag 3 reduced the main sum's phases modulo a binary64 2pi, so its
+        # MainSum records and the shifted line's residues are off in their
+        # last digits
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, "sigma_list = 0.5\nt_grid = 1000\n")
+        cache = tmp_path / "cache.txt"
+        old = ("auxzeta-eval-cache 3: shifted contour by the nested trapezoidal "
+               "rule to t = 500, main sum above\n"
+               "0.5\t1000.0\tMainSum\t0.5\t0.25\t0.1\n")
+        _write(cache, old)
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--cache", str(cache)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert _read(cache) == old.encode()
+
     def test_schema(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         _write(cfg, "sigma_list = 0\nt_grid = 30\n")

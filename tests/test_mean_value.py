@@ -1,15 +1,20 @@
 """Moment engine: closed forms, decomposition exactness, stream contracts."""
 
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from auxzeta.bound_checks import osc_integral
+from auxzeta import mean_value
+from auxzeta.aux_eval import TWO_PI_LONG, n_main_terms
+from auxzeta.bound_checks import _GLW8, _GLX8, osc_integral
 from auxzeta.errors import BudgetExceededError
-from auxzeta.mean_value import (cross_term_value, decomposition_check,
-                                diagonal_closed_form, integrate_mean,
-                                moment_stream)
+from auxzeta.mean_value import (_fold_run, _runs, cross_term_value,
+                                decomposition_check, diagonal_closed_form,
+                                integrate_mean, moment_stream)
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,14 +119,18 @@ class TestIntegrateMean:
 
     def test_panel_refinement_within_quad_error(self):
         # quad_error, the panel-halving estimate, covers the stream's true
-        # error, measured against the independent diagonal + cross split
-        T = TWO_PI * 100.0
-        for sigma, weighted in ((0.0, True), (0.5, True), (-1.0, True),
-                                (0.5, False), (2.0, False)):
+        # error, measured against the independent diagonal + cross split;
+        # at 2pi * 2000 only the pairs with an exact antiderivative, since
+        # the weighted sigma != 0 cross term takes seconds there
+        cheap = ((0.0, True), (-1.0, False), (0.5, False), (2.0, False))
+        cases = [(TWO_PI * x, sigma, weighted) for x in (100.0, 400.0)
+                 for sigma, weighted in cheap + ((0.5, True), (-1.0, True))]
+        cases += [(TWO_PI * 2000.0, sigma, weighted) for sigma, weighted in cheap]
+        for T, sigma, weighted in cases:
             sample = integrate_mean(sigma, [T], weighted)[0]
             split = (diagonal_closed_form(sigma, T, weighted)
                      + cross_term_value(sigma, T, weighted))
-            assert abs(sample.raw_integral - split) <= sample.quad_error, (sigma, weighted)
+            assert abs(sample.raw_integral - split) <= sample.quad_error, (T, sigma, weighted)
 
     def test_quad_error_cumulative_per_row(self):
         # grid points at term-entry points 2 pi n^2, which are panel edges
@@ -151,3 +160,61 @@ class TestIntegrateMean:
         assert stream.t[0] == 1.0
         assert stream.F[0] == 0.0
         assert all(b >= a for a, b in zip(stream.F, stream.F[1:]))
+
+    def test_pool_threads_match_serial(self):
+        # the kernel's matrix product runs in BLAS; two streams at once from
+        # a pool must give the bits that one stream at a time gives
+        grid = [TWO_PI * 400.0, TWO_PI * 1000.0]
+        cases = [(0.5, True), (2.0, False)]
+        serial = [integrate_mean(sigma, grid, weighted) for sigma, weighted in cases]
+        start = threading.Barrier(len(cases))
+
+        def one(case):
+            start.wait()
+            return integrate_mean(case[0], grid, case[1])
+
+        with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+            assert list(pool.map(one, cases)) == serial
+
+    def test_budget_fails_fast(self):
+        # the cross term's pair budget, checked before any panel is built
+        T = TWO_PI * 1501.0**2
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            integrate_mean(0.0, [TWO_PI * 10.0, T], True)
+        with pytest.raises(BudgetExceededError):
+            moment_stream(0.5, T, False)
+        assert time.perf_counter() - t0 < 0.1
+
+
+def _fold_node_by_node(sigma, weighted, lo, h, k):
+    """The panel contributions with one exp per node and term, the phases
+    t log n formed and reduced in extended precision at each node."""
+    t = ((lo + h * (np.arange(k, dtype=np.longdouble) + 0.5))[:, None]
+         + 0.5 * h * _GLX8.astype(np.longdouble)[None, :]).ravel()
+    t64 = t.astype(np.float64)
+    N = np.array([n_main_terms(x) for x in t64])
+    n = np.arange(1, N.max() + 1)
+    phase = np.mod(np.outer(t, np.log(n.astype(np.longdouble))), TWO_PI_LONG)
+    terms = np.exp(-1j * phase.astype(np.float64)) * n ** -sigma
+    S = np.where(n[None, :] <= N[:, None], terms, 0.0).sum(axis=1)
+    vals = np.abs(S) ** 2 * ((t64 / TWO_PI) ** sigma if weighted else 1.0)
+    return (vals.reshape(k, 8) * _GLW8[None, :]).sum(axis=1) * (0.5 * h)
+
+
+class TestFoldRun:
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("chunk_terms", [None, 3000])
+    def test_matches_node_by_node(self, monkeypatch, sigma, weighted, chunk_terms):
+        if chunk_terms is not None:  # many chunks per run
+            monkeypatch.setattr(mean_value, "_CHUNK_TERMS", chunk_terms)
+        grid = [TWO_PI * 1234.5, TWO_PI * 2000.5]
+        runs = {hi: (lo, hi, k) for lo, hi, k in _runs(grid[-1], grid)}
+        # runs that end at a grid T, at a term-entry point, and at T_max
+        for hi in (grid[0], TWO_PI * 44 * 44, grid[-1], TWO_PI * 4):
+            lo, hi, k = runs[hi]
+            h = (hi - lo) / k
+            got = _fold_run(sigma, weighted, lo, h, k, n_main_terms(0.5 * (lo + hi)))
+            want = _fold_node_by_node(sigma, weighted, lo, h, k)
+            assert np.all(np.abs(got - want) <= 1e-12 * want), (lo, hi, k)
