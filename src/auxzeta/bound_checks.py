@@ -128,8 +128,10 @@ def power_sum_check(x: float, sigma: float) -> BoundCheck:
 
     When the envelope undercuts binary64 resolution of the sum (large
     sigma * log x, e.g. sigma = 2 beyond x ~ 2000) the subtraction is pure
-    roundoff in doubles, so the summation and main terms move to working
-    precision sized to the headroom; the route stays direct summation.
+    roundoff in doubles, so the check moves to working precision sized to
+    the headroom: an exact fixed-point integer sum when 2 sigma is a
+    positive integer, one correctly rounded sum of mp terms otherwise, and
+    main terms in mp.  The route stays direct summation either way.
     """
     res_scale = 1.0 / x if sigma == 0.5 else x ** (-2.0 * sigma)
     value_scale = max(1.0, abs(power_sum_asymptotic(x, sigma)))
@@ -146,7 +148,17 @@ def power_sum_check(x: float, sigma: float) -> BoundCheck:
 
 
 def _power_sum_residual_mp(x: float, sigma: float, headroom: float) -> float:
-    """partial - main terms by direct summation in extended precision."""
+    """partial - main terms by direct summation in extended precision.
+
+    Working precision is ctx.prec bits, with dps = log10(headroom) + 12.
+    When e = 2 sigma is a positive integer the partial sum is the exact
+    integer sum of floor(2^bits / n^e), bits = ctx.prec + N.bit_length() + 8,
+    rounded to ctx.prec once: the N floors lose at most N 2^-bits <=
+    2^-(ctx.prec + 8) in all, a proven bound.  Other exponents take one mp
+    power per term, summed exactly and rounded once by ctx.fsum (exact
+    while the terms span under 2 ctx.prec bits; the smallest, x^{-2 sigma},
+    is about 1/headroom).
+    """
     from mpmath.ctx_mp import MPContext
 
     if x > _POWER_SUM_BUDGET:
@@ -154,12 +166,14 @@ def _power_sum_residual_mp(x: float, sigma: float, headroom: float) -> float:
     ctx = MPContext()
     ctx.dps = int(math.log10(headroom)) + 12
     N = int(math.floor(x + 1e-9))
-    p = ctx.mpf(-2.0 * sigma)
-    if abs(2.0 * sigma - round(2.0 * sigma)) < 1e-12:
-        p = int(round(-2.0 * sigma))  # integer exponent: much cheaper powers
-    total = ctx.mpf(0)
-    for n in range(1, N + 1):
-        total += ctx.mpf(n) ** p
+    e = round(2.0 * sigma)
+    if e >= 1 and abs(2.0 * sigma - e) < 1e-12:
+        bits = ctx.prec + N.bit_length() + 8
+        one = 1 << bits
+        total = ctx.ldexp(ctx.mpf(sum(one // n**e for n in range(1, N + 1))), -bits)
+    else:
+        p = ctx.mpf(-2.0 * sigma)
+        total = ctx.fsum(ctx.mpf(n) ** p for n in range(1, N + 1))
     xm = ctx.mpf(x)
     if sigma == 0.5:
         asym = ctx.log(xm) + ctx.mpf(EULER_GAMMA_HIGH)
@@ -202,6 +216,8 @@ def double_sum_growth(x: float, sigma: float, kind: str) -> BoundCheck:
     """
     if kind == QUOTIENT_KIND and sigma >= 0.0:
         raise ValueError("quotient-kind growth check requires sigma < 0")
+    if x < 2.0:
+        raise ValueError("double sums need x >= 2")
     lhs = _double_sum(x, sigma, kind)
     lx = math.log(x)
     if kind == QUOTIENT_KIND:

@@ -1,6 +1,7 @@
 """Bound-suite oracles: oscillatory integrals, power sums, double sums."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ class TestPowerSums:
         with pytest.raises(BudgetExceededError):
             power_sum_partial(1.0e9, 1.0)
 
+    @pytest.mark.parametrize("x, sigma", [(1.0e4, 2.0), (1.0e5, 2.0), (6000.0, 1.75)])
+    def test_extended_residual_matches_euler_maclaurin(self, x, sigma):
+        # both extended-precision branches: fixed-point sum (2 sigma = 4) and
+        # mp terms (2 sigma = 3.5); at integer x the scaled residual is
+        # 1/2 - a/(12x) + a(a+1)(a+2)/(720x^3) + O(x^-5), a = 2 sigma
+        a = 2.0 * sigma
+        want = 0.5 - a / (12.0 * x) + a * (a + 1.0) * (a + 2.0) / (720.0 * x**3)
+        chk = power_sum_check(x, sigma)
+        assert chk.inputs["residual"] * x**a == pytest.approx(want, abs=1e-12)
+
+    def test_extended_budget_fails_fast(self):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            power_sum_check(2.5e7, 2.0)
+        assert time.perf_counter() - t0 < 0.1
+
 
 class TestDoubleSums:
     def test_single_pair(self):
@@ -98,6 +115,12 @@ class TestDoubleSums:
             chk = double_sum_growth(2.0, sigma, PRODUCT_KIND)
             want = 2.0 ** (-sigma) / math.log(2.0)
             assert chk.lhs == pytest.approx(want, rel=1e-12)
+
+    def test_needs_a_pair(self):
+        # below x = 2 there is no pair and the envelope's log x is 0 or less
+        for x in (1.0, 1.5):
+            with pytest.raises(ValueError, match="x >= 2"):
+                double_sum_growth(x, 0.5, PRODUCT_KIND)
 
     def test_quotient_requires_negative_sigma(self):
         with pytest.raises(ValueError):
