@@ -28,7 +28,8 @@ Both contours use one rule, the nested trapezoidal sum, in binary64 or
 in mpmath.  Along the line the integrand is analytic in a strip and
 decays like a Gaussian at both ends, so the equispaced sum converges
 exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014), and each
-halving of the step reuses every node already summed.
+halving of the step reuses every node already summed; the first level's
+binary64 pass measures the cancellation, which picks the arithmetic.
 
 ``eval_aux`` is the one production evaluator: the shifted contour up to
 ``T_SWITCH``, the truncated sum above (the contour is capped at
@@ -149,28 +150,16 @@ def _path_extent(t: float, crossing: float) -> float:
                math.sqrt(2.0) * (crossing + 2.3))
 
 
-def _needed_digits(s: complex, crossing: float) -> float:
-    """Decimal digits destroyed by cancellation: max over the path of the
-    integrand's log10-magnitude (the result itself is O(t^{1/4}))."""
-    U = _path_extent(s.imag, crossing)
-    u = np.linspace(-U, U, 8001)
-    x = crossing + u * _DIRECTION
-    m = (
-        s.imag * np.angle(x)
-        - math.pi * (2.0 * x.real * x.imag + np.abs(x.imag))
-        - s.real * np.log(np.abs(x))
-    )
-    return max(0.0, float(m.max())) / math.log(10.0)
-
-
-def _quad_float(s: complex, crossing: float, u: np.ndarray) -> tuple[complex, int]:
+def _quad_float(s: complex, crossing: float, u: np.ndarray) -> tuple:
     """binary64 pass: the sum of the integrand over the nodes u of the
-    path, and their count.  A value that is not finite counts as 0."""
+    path, their count, and the integrand's peak log10-magnitude there,
+    taken in log space so that it cannot overflow."""
     x = crossing + u * _DIRECTION
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        w = np.exp(1j * math.pi * x)
-        f = np.exp(-s * np.log(x) + 1j * math.pi * x * x) / (w - 1.0 / w)
-    return complex(np.sum(f[np.isfinite(f)])), u.size
+    w = np.exp(1j * math.pi * x)
+    exponent = -s * np.log(x) + 1j * math.pi * x * x
+    denominator = w - 1.0 / w
+    peak = np.max(exponent.real - np.log(np.abs(denominator))) / math.log(10.0)
+    return complex(np.sum(np.exp(exponent) / denominator)), u.size, float(peak)
 
 
 def _quad_mp(s: complex, crossing: float, u: np.ndarray,
@@ -203,12 +192,15 @@ def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
     halving evaluates only the new odd-k nodes, so no node is computed
     twice.  The integrand is analytic in a strip about the line and
     decays like a Gaussian at both ends, so the sums converge
-    exponentially.  The error bound is observed, not modeled: the step is
-    halved until two successive differences are within `QUAD_REL`
-    (absolute plus relative).  The bound is the last difference, floored
-    at 1e-14 relative and, in binary64, at the unit roundoff times the
-    cancellation factor 10^digits that `_needed_digits` measures.  Raises
-    if that is not reached within `_MAX_HALVINGS` halvings.
+    exponentially.  The first level runs in binary64: the peak
+    log10-magnitude of the integrand on its nodes is the digits lost to
+    cancellation, and above `_FLOAT64_DIGIT_LIMIT` the rule restarts in
+    mpmath with 22 to 42 digits to spare.  The error bound is observed,
+    not modeled: the step is halved until two successive differences are
+    within `QUAD_REL` (absolute plus relative).  The bound is the last
+    difference, floored at 1e-14 relative and, in binary64, at the unit
+    roundoff times the cancellation factor 10^digits.  Raises if that is
+    not reached within `_MAX_HALVINGS` halvings.
     """
     s = complex(s)
     t = s.imag
@@ -223,35 +215,34 @@ def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
         raise ContourError(f"path passes within 0.2 of the pole at {round(crossing)}")
     poles = _dirichlet_sum(s.real, t, int(crossing))
 
-    digits = _needed_digits(s, crossing)
-    if digits <= _FLOAT64_DIGIT_LIMIT:
-        ctx, total = None, 0j
-        floor = max(1e-14, 2.0 ** -52 * 10.0 ** digits)
-    else:
-        ctx = MPContext()
-        ctx.dps = int(math.ceil((digits + 22.0) / 20.0) * 20)
-        total, floor = ctx.mpc(0), 1e-14
-
     U = _path_extent(t, crossing)
     h = _FIRST_STEP
-    n_evals = agreed = 0
-    for level in range(_MAX_HALVINGS + 1):
+    u = np.arange(-math.floor(U / h), math.floor(U / h) + 1) * h
+    total, n_evals, digits = _quad_float(s, crossing, u)
+    if digits > _FLOAT64_DIGIT_LIMIT:
+        ctx, floor = MPContext(), 1e-14
+        ctx.dps = int(math.ceil((digits + 22.0) / 20.0) * 20)
+        total, n_evals = _quad_mp(s, crossing, u, ctx)
+    else:
+        ctx, floor = None, max(1e-14, 2.0 ** -52 * 10.0 ** digits)
+
+    prev = complex(-_DIRECTION * h * total) + poles
+    agreed = 0
+    for _ in range(_MAX_HALVINGS):
+        h /= 2.0
         k = np.arange(-math.floor(U / h), math.floor(U / h) + 1)
-        if level:
-            k = k[k % 2 == 1]
-        part, n = (_quad_float(s, crossing, k * h) if ctx is None
-                   else _quad_mp(s, crossing, k * h, ctx))
+        u = k[k % 2 == 1] * h
+        part, n = (_quad_float(s, crossing, u)[:2] if ctx is None
+                   else _quad_mp(s, crossing, u, ctx))
         total += part
         n_evals += n
         value = complex(-_DIRECTION * h * total) + poles
-        if level:
-            err = abs(value - prev)
-            agreed = agreed + 1 if err <= QUAD_REL * (1.0 + abs(value)) else 0
-            if agreed == 2:
-                bound = max(err, floor * (1.0 + abs(value)))
-                return AuxEval(s, value, DIRECT_CONTOUR_METHOD, bound, n_evals)
+        err = abs(value - prev)
+        agreed = agreed + 1 if err <= QUAD_REL * (1.0 + abs(value)) else 0
+        if agreed == 2:
+            bound = max(err, floor * (1.0 + abs(value)))
+            return AuxEval(s, value, DIRECT_CONTOUR_METHOD, bound, n_evals)
         prev = value
-        h /= 2.0
     raise QuadratureConvergenceError(
         f"contour quadrature at s={s} still moving by {err:.3e} "
         f"after {_MAX_HALVINGS} halvings of the step")

@@ -29,6 +29,9 @@ _GLX8, _GLW8 = np.polynomial.legendre.leggauss(8)
 
 _DOUBLE_SUM_BUDGET = 3000
 _POWER_SUM_BUDGET = 2.0e7
+# osc_integral's roundoff, 4 eps times the finer pass's sum of |terms|: two
+# passes differ by up to 2.6 eps of it (sigma = 2 cross term, T = 2pi*1000)
+_OSC_ROUNDOFF = 4.0 * 2.0 ** -52
 
 QUOTIENT_KIND = "sigma_quotient"   # n^sigma / m^sigma terms, sigma < 0
 PRODUCT_KIND = "sigma_product"     # 1 / (n m)^sigma terms
@@ -44,10 +47,21 @@ class BoundCheck:
     inputs: dict = field(default_factory=dict)
 
 
-def osc_integral(a: float, b: float, alpha: float, beta: float,
-                 tol: float = 1.0e-10) -> float:
+def _osc_panels(a: float, b: float, alpha: float, beta: float,
+                n_panels: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Gauss-Legendre sum of t^alpha cos(beta t) on n_panels equal panels
+    of [a, b], its weighted terms (a row a panel) and the half-widths."""
+    edges = np.linspace(a, b, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    hw = 0.5 * (edges[1:] - edges[:-1])
+    t = (mid[:, None] + hw[:, None] * _GLX8[None, :]).ravel()
+    terms = (t**alpha * np.cos(beta * t)).reshape(n_panels, -1) * _GLW8[None, :]
+    return float(np.sum(terms.sum(axis=1) * hw)), terms, hw
+
+
+def osc_integral(a: float, b: float, alpha: float, beta: float) -> float:
     """int_a^b t^alpha cos(beta t) dt by composite Gauss-Legendre panels,
-    refined until successive halvings agree to tol*(1+|value|).
+    doubled until two passes agree to 1e-10*(1+|value|) or to roundoff.
 
     Requires 0 < a < b and beta != 0; the power factor is evaluated away
     from 0 so any real alpha is fine.
@@ -57,24 +71,15 @@ def osc_integral(a: float, b: float, alpha: float, beta: float,
     if beta == 0.0:
         raise ValueError("beta must be nonzero")
 
-    span = b - a
     period = TWO_PI / abs(beta)
-    base_panels = max(8, int(math.ceil(6.0 * span / period)))
-
-    def run(n_panels: int) -> float:
-        edges = np.linspace(a, b, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        hw = 0.5 * (edges[1:] - edges[:-1])
-        t = (mid[:, None] + hw[:, None] * _GLX8[None, :]).ravel()
-        vals = t**alpha * np.cos(beta * t)
-        vals = vals.reshape(n_panels, -1)
-        return float(np.sum((vals * _GLW8[None, :]).sum(axis=1) * hw))
-
-    v1 = run(base_panels)
+    n_panels = max(8, int(math.ceil(6.0 * (b - a) / period)))
+    v1 = _osc_panels(a, b, alpha, beta, n_panels)[0]
     for _ in range(12):
-        base_panels *= 2
-        v2 = run(base_panels)
-        if abs(v2 - v1) <= tol * (1.0 + abs(v2)):
+        n_panels *= 2
+        v2, terms, hw = _osc_panels(a, b, alpha, beta, n_panels)
+        moved = abs(v2 - v1)
+        if (moved <= 1.0e-10 * (1.0 + abs(v2))
+                or moved <= _OSC_ROUNDOFF * float(np.sum(np.abs(terms).sum(axis=1) * hw))):
             return v2
         v1 = v2
     raise QuadratureConvergenceError(

@@ -26,6 +26,9 @@ EULER_GAMMA = 0.5772156649015329
 
 HALF_LOG_TWO_PI = 0.9189385332046727
 
+# 2pi for phase reductions; the binary64 value is 2.45e-16 short a turn
+_TWO_PI_LONG = np.longdouble("6.283185307179586476925286766559")
+
 # Bernoulli numbers B_2, B_4, ..., B_28 as exact fractions evaluated in binary64.
 _BERNOULLI_2K = (
     1.0 / 6.0,
@@ -83,7 +86,7 @@ def _powers_neg_s(n: np.ndarray, s: complex) -> np.ndarray:
     precision so the argument t*log(n) keeps ~1e-13 rad accuracy even for
     t near 1e5."""
     log_n = np.log(n.astype(np.longdouble))
-    phase = np.mod(-s.imag * log_n, 2.0 * np.pi).astype(np.float64)
+    phase = np.mod(-s.imag * log_n, _TWO_PI_LONG).astype(np.float64)
     amp = np.exp(-s.real * np.log(n))
     return amp * (np.cos(phase) + 1j * np.sin(phase))
 
@@ -136,14 +139,14 @@ def _euler_maclaurin_zeta(s: complex, n_terms: int) -> tuple[complex, float, int
     return value, trunc + roundoff + phase_err, N + K
 
 
-def complex_zeta(s: complex, tol: float = 1.0e-12) -> EvalResult:
+def complex_zeta(s: complex) -> EvalResult:
     """Riemann zeta on the complex plane by Euler-Maclaurin summation.
 
     Independent oracle with documented range |Im s| <= 1e5.  For
     Re s < -1/2 the functional equation is applied (in log space, so the
     chi factor neither overflows nor loses accuracy at large |Im s|).
     Doubling the term count must move the value by less than the reported
-    bound; if not, the count is doubled until it does.
+    bound (or 1e-12); if not, the count is doubled until it does.
     """
     s = complex(s)
     if abs(s - 1.0) < _POLE_RADIUS:
@@ -153,7 +156,7 @@ def complex_zeta(s: complex, tol: float = 1.0e-12) -> EvalResult:
 
     if s.real < -0.5:
         refl = _reflection_factor(s)
-        inner = complex_zeta(1.0 - s, tol=tol)
+        inner = complex_zeta(1.0 - s)
         value = refl * inner.value
         bound = abs(refl) * inner.abs_error_bound + 1e-14 * abs(value)
         return EvalResult(value, bound, inner.terms_used)
@@ -163,7 +166,7 @@ def complex_zeta(s: complex, tol: float = 1.0e-12) -> EvalResult:
     for _ in range(4):
         v2, b2, terms2 = _euler_maclaurin_zeta(s, 2 * N)
         moved = abs(v2 - v1)
-        if moved <= max(b1, tol):
+        if moved <= max(b1, 1.0e-12):
             bound = max(b2, moved, 1e-16 * abs(v2))
             return EvalResult(v2, bound, terms2)
         N *= 2
@@ -193,7 +196,7 @@ def _reflection_factor(s: complex) -> complex:
     return cmath.exp(log_chi)
 
 
-def real_zeta(s: float, tol: float = 1.0e-12) -> EvalResult:
+def real_zeta(s: float) -> EvalResult:
     """zeta(s) for real s != 1, valid on the whole real line.
 
     Nonnegative s goes straight to Euler-Maclaurin; negative s uses the
@@ -204,7 +207,7 @@ def real_zeta(s: float, tol: float = 1.0e-12) -> EvalResult:
     if abs(s - 1.0) < _POLE_RADIUS:
         raise PoleProximityError(f"s = {s} within {_POLE_RADIUS} of the pole at 1")
     if s >= 0.0:
-        r = complex_zeta(complex(s, 0.0), tol=tol)
+        r = complex_zeta(complex(s, 0.0))
         return EvalResult(r.value.real, r.abs_error_bound, r.terms_used)
     chi = (
         2.0**s
@@ -212,7 +215,7 @@ def real_zeta(s: float, tol: float = 1.0e-12) -> EvalResult:
         * math.sin(0.5 * math.pi * s)
         * gamma_real(1.0 - s).value
     )
-    inner = real_zeta(1.0 - s, tol=tol)
+    inner = real_zeta(1.0 - s)
     value = chi * inner.value
     bound = abs(chi) * inner.abs_error_bound + 1e-14 * (abs(value) + abs(chi))
     return EvalResult(value, bound, inner.terms_used)

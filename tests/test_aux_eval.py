@@ -9,7 +9,7 @@ import pytest
 
 from auxzeta import aux_eval
 from auxzeta.aux_eval import (DIRECT_CONTOUR_METHOD, MAIN_SUM_METHOD,
-                              MAIN_SUM_ERROR_COEFF, T_SWITCH, _needed_digits,
+                              MAIN_SUM_ERROR_COEFF, T_SWITCH,
                               critical_line_decomposition, eval_aux,
                               eval_aux_direct, main_sum, main_sum_error_bound,
                               n_main_terms)
@@ -184,11 +184,36 @@ class TestShiftedRoute:
         oracle = eval_aux_direct(s)
         assert abs(shifted.value - oracle.value) <= 1e-9 * (1.0 + abs(oracle.value))
 
-    def test_binary64_suffices(self):
-        # no cancellation along the shifted line: at most one digit lost
-        for t in np.linspace(10.0, 500.0, 50):
+    def test_binary64_suffices(self, monkeypatch):
+        # the shifted line loses under a digit to cancellation, so the
+        # first level keeps it in binary64 and the mp pass never runs
+        def no_mp(*args):
+            raise AssertionError("the shifted line ran in mp")
+        monkeypatch.setattr(aux_eval, "_quad_mp", no_mp)
+        for t in np.linspace(10.0, 500.0, 50).tolist():
             for sigma in (0.0, 0.5, 1.0):
-                assert _needed_digits(complex(sigma, t), n_main_terms(t) + 0.5) <= 1.0
+                assert eval_aux(complex(sigma, t)).method == DIRECT_CONTOUR_METHOD
+
+    def test_first_level_measures_cancellation(self):
+        # the peak log10|integrand| over the first level's nodes, which
+        # picks the arithmetic, is within half a digit of the peak over
+        # 8,001 points of the path, on the oracle and the shifted line
+        def fine_scan(s, crossing):
+            U = aux_eval._path_extent(s.imag, crossing)
+            x = crossing + np.linspace(-U, U, 8001) * aux_eval._DIRECTION
+            w = np.exp(1j * math.pi * x)
+            log_f = (-s * np.log(x) + 1j * math.pi * x * x).real - np.log(np.abs(w - 1 / w))
+            return float(log_f.max()) / math.log(10.0)
+
+        h = aux_eval._FIRST_STEP
+        for sigma in (-1.0, 0.0, 0.5, 1.0, 2.0):
+            for t in np.geomspace(1.0, 1000.0, 300).tolist():
+                s = complex(sigma, t)
+                for crossing in (0.5, n_main_terms(t) + 0.5):
+                    U = aux_eval._path_extent(t, crossing)
+                    u = np.arange(-math.floor(U / h), math.floor(U / h) + 1) * h
+                    level0 = aux_eval._quad_float(s, crossing, u)[2]
+                    assert abs(level0 - fine_scan(s, crossing)) <= 0.5, (sigma, t, crossing)
 
 
 class TestDispatch:

@@ -3,9 +3,11 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
+from auxzeta import bound_checks
 from auxzeta.bound_checks import (PRODUCT_KIND, QUOTIENT_KIND,
                                   double_sum_growth, osc_bound_check,
                                   osc_integral, power_sum_asymptotic,
@@ -40,6 +42,32 @@ class TestOscIntegral:
             osc_integral(-1.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             osc_integral(1.0, 2.0, 0.0, 0.0)
+
+    def test_stops_at_roundoff(self, monkeypatch):
+        # one pair of the weighted sigma = 2 cross term at T = 2pi*1000:
+        # successive passes differ by roundoff, 1-3 eps of the sum of the
+        # term magnitudes, which is above the relative tolerance; doubling
+        # until the tolerance is met by chance takes 1,307,136 panels
+        panels = []
+        passes = bound_checks._osc_panels
+
+        def recording(a, b, alpha, beta, n_panels):
+            panels.append(n_panels)
+            return passes(a, b, alpha, beta, n_panels)
+        monkeypatch.setattr(bound_checks, "_osc_panels", recording)
+        two_pi = 2.0 * math.pi
+        a, b, beta = two_pi * 21 * 21, two_pi * 1000.0, math.log(21.0)
+        got = osc_integral(a, b, 2.0, beta)
+        assert max(panels) < 100_000
+        with mpmath.workdps(40):
+            B = mpmath.mpf(beta)
+
+            def antiderivative(t):
+                t = mpmath.mpf(t)
+                return (t * t * mpmath.sin(B * t) / B + 2 * t * mpmath.cos(B * t) / B**2
+                        - 2 * mpmath.sin(B * t) / B**3)
+            want = float(antiderivative(b) - antiderivative(a))
+        assert abs(got - want) <= 1e-9 * abs(want)
 
 
 class TestOscBound:
