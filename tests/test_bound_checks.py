@@ -154,6 +154,13 @@ class TestDoubleSums:
         with pytest.raises(ValueError):
             double_sum_growth(100.0, 0.5, QUOTIENT_KIND)
 
+    def test_quotient_weights_in_range(self):
+        # m^-sigma is formed on its own, so it must not overflow where the
+        # quotients (n/m)^sigma would not
+        assert math.isfinite(double_sum_growth(3000.0, -80.0, QUOTIENT_KIND).lhs)
+        with pytest.raises(ValueError, match="leave binary64"):
+            double_sum_growth(3000.0, -90.0, QUOTIENT_KIND)
+
     def test_quotient_ratio_trend(self):
         ratios = [double_sum_growth(float(x), -1.0, QUOTIENT_KIND).ratio
                   for x in (250, 500, 1000, 2000)]
@@ -170,10 +177,40 @@ class TestDoubleSums:
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-3 * vals[-1]
 
+    @pytest.mark.parametrize("kind,sigma", [(QUOTIENT_KIND, -1.0), (QUOTIENT_KIND, -2.0),
+                                            (PRODUCT_KIND, 0.5), (PRODUCT_KIND, 1.0),
+                                            (PRODUCT_KIND, 2.0)])
+    def test_matches_mp_reference(self, kind, sigma):
+        # the five criterion-7 cases against a 30-digit sum over all 19,900
+        # pairs of N = 200; x = 200.5 floors to the same N
+        N = 200
+        with mpmath.workdps(30):
+            logs = [mpmath.log(k) for k in range(1, N + 1)]
+            b = [mpmath.power(k, -sigma) for k in range(1, N + 1)]
+            a = [mpmath.power(k, sigma) for k in range(1, N + 1)] \
+                if kind == QUOTIENT_KIND else b
+            want = mpmath.fsum(
+                a[n] * mpmath.fsum(b[m] / (logs[n] - logs[m]) for m in range(n))
+                for n in range(1, N))
+            for x in (200.0, 200.5):
+                got = double_sum_growth(x, sigma, kind).lhs
+                assert abs(got - want) <= 1e-15 * abs(want), (x, got, want)
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             double_sum_growth(5000.0, 1.0, PRODUCT_KIND)
+        # refused before any work: one past the cap fails at once
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            double_sum_growth(3001.0, 1.0, PRODUCT_KIND)
+        assert time.perf_counter() - t0 < 0.1
+        # the cap itself still runs
+        chk = double_sum_growth(3000.0, 1.0, PRODUCT_KIND)
+        assert math.isfinite(chk.lhs) and chk.lhs > 0.0
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown kind"):
             double_sum_growth(100.0, 1.0, "nonsense")
+        # the kind is checked before the budget, so before any block is built
+        with pytest.raises(ValueError, match="unknown kind"):
+            double_sum_growth(1.0e9, 1.0, "nonsense")
