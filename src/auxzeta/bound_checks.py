@@ -1,8 +1,10 @@
 """Brute-force oracles for the bound infrastructure behind the moment proofs.
 
-Three families:
+The module owns the order-8 Gauss-Legendre rule and its error bound on a
+Bernstein ellipse, which the moment stream shares.  Three families:
 
-* oscillatory power integrals  int_a^b t^alpha cos(beta t) dt  and the
+* oscillatory power integrals  int_a^b t^alpha cos(beta t) dt, by one pass
+  over a mesh fixed by (a, b, beta) with a proven error bound, and the
   first-derivative bound  3/|beta| * max(a^alpha, b^alpha);
 * partial power sums  sum_{n<=x} n^{-2 sigma}  against their three-case
   asymptotic main terms;
@@ -24,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aux_eval import TWO_PI
-from .errors import BudgetExceededError, QuadratureConvergenceError
-from .special_functions import EULER_GAMMA, real_zeta
+from .aux_eval import TWO_PI_LONG
+from .errors import BudgetExceededError
+from .special_functions import EULER_GAMMA, EvalResult, real_zeta
 
 # Euler's constant beyond binary64, for the extended-precision check branch.
 EULER_GAMMA_HIGH = "0.57721566490153286060651209008240243104215933593992"
@@ -36,9 +38,8 @@ _GLX8, _GLW8 = np.polynomial.legendre.leggauss(8)
 _DOUBLE_SUM_BUDGET = 3000
 _DOUBLE_SUM_ROWS = 32
 _POWER_SUM_BUDGET = 2.0e7
-# osc_integral's roundoff, 4 eps times the finer pass's sum of |terms|: two
-# passes differ by up to 2.6 eps of it (sigma = 2 cross term, T = 2pi*1000)
-_OSC_ROUNDOFF = 4.0 * 2.0 ** -52
+_U = 2.0 ** -53  # unit roundoffs of binary64 and of the extended type
+_U_LD = float(np.finfo(np.longdouble).eps) / 2.0
 
 QUOTIENT_KIND = "sigma_quotient"   # n^sigma / m^sigma terms, sigma < 0
 PRODUCT_KIND = "sigma_product"     # 1 / (n m)^sigma terms
@@ -54,52 +55,61 @@ class BoundCheck:
     inputs: dict = field(default_factory=dict)
 
 
-def _osc_panels(a: float, b: float, alpha: float, beta: float,
-                n_panels: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Gauss-Legendre sum of t^alpha cos(beta t) on n_panels equal panels
-    of [a, b], its weighted terms (a row a panel) and the half-widths."""
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    hw = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + hw[:, None] * _GLX8[None, :]).ravel()
-    terms = (t**alpha * np.cos(beta * t)).reshape(n_panels, -1) * _GLW8[None, :]
-    return float(np.sum(terms.sum(axis=1) * hw)), terms, hw
+def _gl8_error(hw, rho, M):
+    """Order-8 Gauss-Legendre error on a panel of half-width hw for an
+    integrand bounded by M on its Bernstein ellipse E_rho, semi-axes
+    hw (rho +- 1/rho)/2 (Trefethen, Approximation Theory and Approximation
+    Practice, Thm 19.3)."""
+    return hw * 64.0 * M * rho ** -16.0 / (15.0 * (rho * rho - 1.0))
 
 
-def osc_integral(a: float, b: float, alpha: float, beta: float) -> float:
-    """int_a^b t^alpha cos(beta t) dt by composite Gauss-Legendre panels,
-    doubled until two passes agree to 1e-10*(1+|value|) or to roundoff.
+def osc_integral(a: float, b: float, alpha: float, beta: float) -> EvalResult:
+    """int_a^b t^alpha cos(beta t) dt, 0 < a < b, beta != 0, by one pass of
+    order-8 Gauss-Legendre panels, with a proven absolute error bound.
 
-    Requires 0 < a < b and beta != 0; the power factor is evaluated away
-    from 0 so any real alpha is fine.
+    The panels tile [a, b] exactly in extended precision, where each
+    panel's phase beta mid is also reduced mod 2pi.  With
+    rho = min(36/(|beta| hw), mid/hw) >= 9 the ellipse stays in Re t > 0,
+    and the integrand is at most (mid +- A)^alpha cosh(|beta| B) on it.
+    Each term adds its roundoff, 4 (u_ld |beta| t + u (|alpha| + 8)) of its
+    size: the argument errors of cos(beta t) and t^alpha, the products and
+    the sums.
     """
-    if not (0.0 < a < b):
-        raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
-    if beta == 0.0:
-        raise ValueError("beta must be nonzero")
+    if not (0.0 < a < b) or beta == 0.0:
+        raise ValueError(f"need 0 < a < b and beta != 0, got a={a}, b={b}, beta={beta}")
 
-    period = TWO_PI / abs(beta)
-    n_panels = max(8, int(math.ceil(6.0 * (b - a) / period)))
-    v1 = _osc_panels(a, b, alpha, beta, n_panels)[0]
-    for _ in range(12):
-        n_panels *= 2
-        v2, terms, hw = _osc_panels(a, b, alpha, beta, n_panels)
-        moved = abs(v2 - v1)
-        if (moved <= 1.0e-10 * (1.0 + abs(v2))
-                or moved <= _OSC_ROUNDOFF * float(np.sum(np.abs(terms).sum(axis=1) * hw))):
-            return v2
-        v1 = v2
-    raise QuadratureConvergenceError(
-        f"oscillatory integral (a={a}, b={b}, alpha={alpha}, beta={beta}) "
-        "did not stabilize")
+    # no panel wider than min(pi/|beta|, t/4) at its left end t: geometric
+    # from a, ratio <= 5/4, up to c = 4pi/|beta|, then equal panels up to b
+    c = min(b, max(a, 4.0 * math.pi / abs(beta)))
+    n_geo = math.ceil(math.log(c / a) / math.log(1.25))
+    n_eq = math.ceil((b - c) * abs(beta) / math.pi)
+    edges = np.concatenate([a * (c / a) ** (np.arange(n_geo) / max(n_geo, 1)),
+                            np.linspace(c, b, n_eq + 1)]).astype(np.longdouble)
+    mid_ld = 0.5 * (edges[:-1] + edges[1:])
+    mid, hw = mid_ld.astype(np.float64), (0.5 * np.diff(edges)).astype(np.float64)
+    t = mid[:, None] + hw[:, None] * _GLX8
+    power = t ** alpha
+    phase = (np.mod(beta * mid_ld, TWO_PI_LONG).astype(np.float64)[:, None]
+             + (beta * hw)[:, None] * _GLX8)
+    value = math.fsum(((power * np.cos(phase)) @ _GLW8 * hw).tolist())
+
+    rho = np.minimum(36.0 / (abs(beta) * hw), mid / hw)
+    A, B = 0.5 * hw * (rho + 1.0 / rho), 0.5 * hw * (rho - 1.0 / rho)
+    M = (mid + math.copysign(1.0, alpha) * A) ** alpha * np.cosh(abs(beta) * B)
+    roundoff = 4.0 * float(
+        (np.abs(power) * (_U_LD * abs(beta) * t + _U * (abs(alpha) + 8.0))) @ _GLW8 @ hw)
+    bound = float(np.sum(_gl8_error(hw, rho, M))) + roundoff
+    return EvalResult(value, bound, t.size)
 
 
 def osc_bound_check(a: float, b: float, alpha: float, beta: float) -> BoundCheck:
     """Checks |int_a^b t^alpha cos(beta t) dt| <= 3/|beta| max(a^alpha, b^alpha)."""
-    lhs = abs(osc_integral(a, b, alpha, beta))
+    integral = osc_integral(a, b, alpha, beta)
+    lhs = abs(integral.value)
     rhs = 3.0 / abs(beta) * max(a**alpha, b**alpha)
     return BoundCheck(lhs, rhs, lhs / rhs,
-                      {"a": a, "b": b, "alpha": alpha, "beta": beta})
+                      {"a": a, "b": b, "alpha": alpha, "beta": beta,
+                       "error_bound": integral.abs_error_bound})
 
 
 def power_sum_partial(x: float, sigma: float) -> float:
@@ -149,9 +159,7 @@ def power_sum_check(x: float, sigma: float) -> BoundCheck:
     value_scale = max(1.0, abs(power_sum_asymptotic(x, sigma)))
     headroom = value_scale / res_scale
     if headroom <= 1.0e13:
-        partial = power_sum_partial(x, sigma)
-        asym = power_sum_asymptotic(x, sigma)
-        resid = partial - asym
+        resid = power_sum_partial(x, sigma) - power_sum_asymptotic(x, sigma)
     else:
         resid = _power_sum_residual_mp(x, sigma, headroom)
     scaled = resid / res_scale

@@ -14,7 +14,8 @@ and (b) through the exact split
 whose diagonal part has a closed form and whose cross part is either an
 exact sine difference (unweighted) or a per-pair oscillatory quadrature
 (weighted).  The two routes agreeing to quadrature tolerance is the core
-exactness check of the package.
+exactness check of the package.  Both sum order-8 Gauss-Legendre panels
+under the same proven bound (`bound_checks._gl8_error`), on separate nodes.
 
 A run lies between two consecutive term-entry points 2pi n^2 or requested
 T's, so the term count N and the panel width h are fixed on it, and at the
@@ -35,13 +36,14 @@ caller's thread budget.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aux_eval import TWO_PI, TWO_PI_LONG, n_main_terms
-from .bound_checks import _GLW8, _GLX8, osc_integral
+from .bound_checks import _GLW8, _GLX8, _U, _U_LD, _gl8_error, osc_integral
 from .errors import BudgetExceededError
 
 _PAIR_BUDGET_SQRT = 1500.0
@@ -92,8 +94,9 @@ def cross_term_value(sigma: float, T: float, weighted: bool) -> float:
     with L = log(n/m).
 
     Unweighted pairs, and weighted ones at sigma = 0 where w = 1, have the
-    exact antiderivative sin(tL)/L; other weighted pairs reuse the adaptive
-    oscillatory quadrature.  Pair count is budgeted at sqrt(T/2pi) <= 1500.
+    exact antiderivative sin(tL)/L; other weighted pairs take `osc_integral`
+    on its own mesh over [2pi n^2, T], whose values are summed.  Pair count
+    is budgeted at sqrt(T/2pi) <= 1500.
     """
     if not T >= TWO_PI:
         raise ValueError("requires T >= 2*pi")
@@ -112,16 +115,13 @@ def cross_term_value(sigma: float, T: float, weighted: bool) -> float:
             coef = nn ** (-sigma) * m ** (-sigma)
             total += float(np.sum(coef * (np.sin(T * L) - np.sin(lo * L)) / L))
         return 2.0 * total
-    scale = TWO_PI ** (-sigma)
     for nn in range(2, N + 1):
         lo = TWO_PI * nn * nn
-        if lo >= T:
+        if lo >= T:  # the term enters at T: an empty window
             continue
         for m in range(1, nn):
-            L = math.log(nn / m)
-            part = osc_integral(lo, T, sigma, L)
-            total += nn ** (-sigma) * m ** (-sigma) * scale * part
-    return 2.0 * total
+            total += (nn * m) ** -sigma * osc_integral(lo, T, sigma, math.log(nn / m)).value
+    return 2.0 * TWO_PI ** -sigma * total
 
 
 def panel_width(t: float) -> float:
@@ -190,15 +190,35 @@ class MomentStream:
     F: np.ndarray
 
 
+def _run_error(sigma: float, weighted: bool, lo: float, hi: float, k: int, N: int,
+               F_run: float) -> float:
+    """Proven error bound of a run's folded sum F_run, N >= 1 terms.
+
+    On each panel's ellipse, rho = min(18/(hw log N), lo/hw, 64), |S|^2 w is
+    at most (sum n^{-sigma+B})^2 max|w|.  Each node's S is within
+    delta = ((N+17) u + 3 u_ld hi log N) sum n^{-sigma}, so by Cauchy-Schwarz
+    roundoff adds 2 delta sqrt(F_run W) + delta^2 W, W = (hi - lo) max w.
+    """
+    hw, log_N = 0.5 * (hi - lo) / k, math.log(N)
+    rho = min(18.0 / (hw * log_N) if N > 1 else math.inf, lo / hw, 64.0)
+    A, B = 0.5 * hw * (rho + 1.0 / rho), 0.5 * hw * (rho - 1.0 / rho)
+    n = np.arange(1.0, N + 1.0)
+    w_max = 1.0  # on the panels' ellipses, which cover [lo, hi]
+    if weighted:
+        w_max = max(((lo + hw - A) / TWO_PI) ** sigma, ((hi - hw + A) / TWO_PI) ** sigma)
+    M = float(np.sum(n ** (B - sigma))) ** 2 * w_max
+    W = (hi - lo) * w_max
+    delta = ((N + 17) * _U + 3.0 * _U_LD * hi * log_N) * float(np.sum(n ** -sigma))
+    return k * _gl8_error(hw, rho, M) + 2.0 * delta * math.sqrt(F_run * W) + delta * delta * W
+
+
 def _stream(sigma: float, T_grid: list[float], weighted: bool
             ) -> tuple[dict, MomentStream, int]:
     """One deterministic streaming pass to max(T_grid).
 
-    Returns ({T: (F(T), quad_error(T))}, full edge stream, n_evals).  The
-    quadrature error is estimated by one step-halving verification per
-    decade of t, on the leading 64 panels of the decade's first run with
-    terms; quad_error(T) sums that relative error times each decade's
-    contribution up to T, plus a roundoff floor.
+    Returns ({T: (F(T), quad_error(T))}, full edge stream, n_evals).  F(T) is
+    math.fsum of the runs' math.fsum totals up to T, and quad_error(T) adds
+    the runs' `_run_error` bounds and (runs + 1) 2u F(T) for those sums.
     """
     T_max = max(T_grid)
     x = math.sqrt(T_max / TWO_PI)
@@ -208,45 +228,23 @@ def _stream(sigma: float, T_grid: list[float], weighted: bool
     edges = np.concatenate([lo + (hi - lo) / k * np.arange(k) for lo, hi, k in runs]
                            + [[T_max]])
     F_edges = np.zeros(len(edges))
+    totals, bounds = [], []
     i = 1
     for lo, hi, k in runs:
-        contrib = _fold_run(sigma, weighted, lo, (hi - lo) / k, k,
-                            n_main_terms(0.5 * (lo + hi)))
+        N = n_main_terms(0.5 * (lo + hi))
+        contrib = _fold_run(sigma, weighted, lo, (hi - lo) / k, k, N)
         F_edges[i:i + k] = F_edges[i - 1] + np.cumsum(contrib)
         i += k
-    n_evals = 8 * (len(edges) - 1)
+        totals.append(math.fsum(contrib.tolist()))
+        bounds.append(_run_error(sigma, weighted, lo, hi, k, N, totals[-1]) if N else 0.0)
 
-    # per-decade halving verification on a leading window
-    decades = []  # (edge index of lo, edge index of hi, relative error)
-    lo = 1.0
-    while lo < T_max:
-        hi = min(lo * 10.0, T_max)
-        run = next((r for r in runs if lo <= r[0] < hi and r[0] >= TWO_PI), None)
-        if run is not None:
-            a, b, k = run
-            kw, h, N = min(k, 64), (b - a) / k, n_main_terms(0.5 * (a + b))
-            coarse = _fold_run(sigma, weighted, a, h, kw, N)
-            fine = _fold_run(sigma, weighted, a, 0.5 * h, 2 * kw, N)
-            n_evals += 24 * kw
-            win_val = float(np.sum(np.abs(coarse)))
-            diff = abs(float(np.sum(coarse) - np.sum(fine)))
-            rel = diff / win_val if win_val > 0 else 0.0
-            decades.append((np.searchsorted(edges, lo),
-                            np.searchsorted(edges, hi), rel))
-        lo = hi
-
+    ends = [hi for _, hi, _ in runs]
     samples = {}
     for T in T_grid:
-        j = min(int(np.searchsorted(edges, T - 1e-9)), len(edges) - 1)
-        F_T = float(F_edges[j])
-        quad_err = 0.0
-        for i_lo, i_hi, rel in decades:
-            if i_lo < j:
-                quad_err += rel * abs(float(F_edges[min(i_hi, j)] - F_edges[i_lo]))
-        quad_err += 1e-13 * abs(F_T) + 64.0 * 2.220446049250313e-16 * abs(F_T)
-        samples[T] = (F_T, quad_err)
-    stream = MomentStream(edges, F_edges)
-    return samples, stream, n_evals
+        r = min(bisect.bisect_left(ends, T - 1e-9) + 1, len(runs))
+        F_T = math.fsum(totals[:r])
+        samples[T] = (F_T, math.fsum(bounds[:r]) + 2.0 * (r + 1) * _U * F_T)
+    return samples, MomentStream(edges, F_edges), 8 * (len(edges) - 1)
 
 
 def integrate_mean(sigma: float, t_grid: list[float], weighted: bool

@@ -155,10 +155,14 @@ def complex_zeta(s: complex) -> EvalResult:
         raise RangeExceededError(f"|Im s| = {abs(s.imag)} exceeds {_IM_RANGE_LIMIT}")
 
     if s.real < -0.5:
-        refl = _reflection_factor(s)
+        lg = log_gamma(1.0 - s).value
+        chi = cmath.exp(s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
+                        + _log_sin_half_pi_s(s) + lg)
         inner = complex_zeta(1.0 - s)
-        value = refl * inner.value
-        bound = abs(refl) * inner.abs_error_bound + 1e-14 * abs(value)
+        value = chi * inner.value
+        # chi's phase carries that of log Gamma(1-s), about t log t, in binary64
+        bound = (abs(chi) * inner.abs_error_bound
+                 + (1e-14 + 2.0 ** -52 * abs(lg.imag)) * abs(value))
         return EvalResult(value, bound, inner.terms_used)
 
     N = max(20, int(math.ceil(2.0 * abs(s.imag))))
@@ -179,21 +183,10 @@ def _log_sin_half_pi_s(s: complex) -> complex:
     z = 0.5 * math.pi * s
     if abs(z.imag) < 20.0:
         return cmath.log(cmath.sin(z))
-    log_2i = math.log(2.0) + 0.5j * math.pi
-    if z.imag > 0:
-        return -1j * z - log_2i + cmath.log(1.0 - cmath.exp(2j * z))
-    return 1j * z - log_2i + cmath.log(1.0 - cmath.exp(-2j * z))
-
-
-def _reflection_factor(s: complex) -> complex:
-    """chi(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s), computed in log space."""
-    log_chi = (
-        s * math.log(2.0)
-        + (s - 1.0) * math.log(math.pi)
-        + _log_sin_half_pi_s(s)
-        + log_gamma(1.0 - s).value
-    )
-    return cmath.exp(log_chi)
+    # sin z = j e^{-jz} (1 - e^{2jz}) / 2 with j = i sign(Im z): the dominant
+    # exponential factored out on either side of the real axis, log j = j pi/2
+    j = 1j if z.imag > 0 else -1j
+    return -j * z - math.log(2.0) + 0.5 * math.pi * j + cmath.log(1.0 - cmath.exp(2.0 * j * z))
 
 
 def real_zeta(s: float) -> EvalResult:

@@ -7,7 +7,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from auxzeta import bound_checks
 from auxzeta.bound_checks import (PRODUCT_KIND, QUOTIENT_KIND,
                                   double_sum_growth, osc_bound_check,
                                   osc_integral, power_sum_asymptotic,
@@ -19,21 +18,21 @@ from auxzeta.special_functions import EULER_GAMMA, real_zeta
 
 class TestOscIntegral:
     def test_full_periods_vanish(self):
-        assert osc_integral(1.0, 2.0, 0.0, math.pi) == pytest.approx(0.0, abs=1e-10)
+        assert osc_integral(1.0, 2.0, 0.0, math.pi).value == pytest.approx(0.0, abs=1e-10)
 
     def test_by_parts_closed_form(self):
         # int_1^2 t cos(10 t) dt = [t sin(10t)/10 + cos(10t)/100]_1^2
         want = (2.0 * math.sin(20.0) - math.sin(10.0)) / 10.0 \
             + (math.cos(20.0) - math.cos(10.0)) / 100.0
-        assert osc_integral(1.0, 2.0, 1.0, 10.0) == pytest.approx(want, abs=1e-10)
+        assert osc_integral(1.0, 2.0, 1.0, 10.0).value == pytest.approx(want, abs=1e-10)
 
     def test_alpha_zero_closed_form(self):
         a, b, beta = 0.3, 7.1, 43.7
         want = (math.sin(beta * b) - math.sin(beta * a)) / beta
-        assert osc_integral(a, b, 0.0, beta) == pytest.approx(want, abs=1e-10)
+        assert osc_integral(a, b, 0.0, beta).value == pytest.approx(want, abs=1e-10)
 
     def test_bound_arithmetic(self):
-        assert abs(osc_integral(1.0, 4.0, 2.0, 5.0)) <= 3.0 / 5.0 * 16.0
+        assert abs(osc_integral(1.0, 4.0, 2.0, 5.0).value) <= 3.0 / 5.0 * 16.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -43,31 +42,74 @@ class TestOscIntegral:
         with pytest.raises(ValueError):
             osc_integral(1.0, 2.0, 0.0, 0.0)
 
-    def test_stops_at_roundoff(self, monkeypatch):
-        # one pair of the weighted sigma = 2 cross term at T = 2pi*1000:
-        # successive passes differ by roundoff, 1-3 eps of the sum of the
-        # term magnitudes, which is above the relative tolerance; doubling
-        # until the tolerance is met by chance takes 1,307,136 panels
-        panels = []
-        passes = bound_checks._osc_panels
-
-        def recording(a, b, alpha, beta, n_panels):
-            panels.append(n_panels)
-            return passes(a, b, alpha, beta, n_panels)
-        monkeypatch.setattr(bound_checks, "_osc_panels", recording)
+    def test_stops_at_roundoff(self):
+        # one pair of the weighted sigma = 2 cross term at T = 2pi*1000,
+        # where the terms are 1e6 times the integral: the phase of each
+        # panel is reduced in extended precision, so roundoff stays far
+        # below 1e-9 relative on a mesh of (b - a)|beta|/pi panels
         two_pi = 2.0 * math.pi
         a, b, beta = two_pi * 21 * 21, two_pi * 1000.0, math.log(21.0)
         got = osc_integral(a, b, 2.0, beta)
-        assert max(panels) < 100_000
-        with mpmath.workdps(40):
-            B = mpmath.mpf(beta)
+        assert got.terms_used // 8 < 5_000
+        want = float(_by_parts(a, b, 2, beta))
+        assert abs(got.value - want) <= 1e-9 * abs(want)
+        assert abs(got.value - want) <= got.abs_error_bound
 
-            def antiderivative(t):
-                t = mpmath.mpf(t)
-                return (t * t * mpmath.sin(B * t) / B + 2 * t * mpmath.cos(B * t) / B**2
-                        - 2 * mpmath.sin(B * t) / B**3)
-            want = float(antiderivative(b) - antiderivative(a))
-        assert abs(got - want) <= 1e-9 * abs(want)
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_cross_term_pairs_within_bound(self, alpha):
+        # every pair of the weighted cross term at T = 2pi*1000 against the
+        # closed-form antiderivative in 40-digit arithmetic
+        two_pi = 2.0 * math.pi
+        T = two_pi * 1000.0
+        for n in range(2, 32):
+            lo = two_pi * n * n
+            for m in range(1, n):
+                beta = math.log(n / m)
+                got = osc_integral(lo, T, float(alpha), beta)
+                want = _by_parts(lo, T, alpha, beta)
+                assert abs(got.value - float(want)) <= got.abs_error_bound, (n, m)
+
+    def test_sweep_within_bound(self):
+        # criterion 7's seeded tuples, and the steepest power near 0, against
+        # int t^alpha e^{i beta t} dt = (-i beta)^{-alpha-1}
+        # (Gamma(alpha+1, -i beta a) - Gamma(alpha+1, -i beta b)) at 40 digits
+        rng = np.random.default_rng(20250808)
+        cases = [(0.1, 5.0, -3.0, 0.7), (0.1, 99.0, -3.0, 37.0)]
+        for _ in range(100):
+            a = float(rng.uniform(0.1, 99.0))
+            b = float(a + rng.uniform(0.01, 100.0 - a))
+            alpha = float(rng.uniform(-3.0, 3.0))
+            beta = float(rng.uniform(0.01, 50.0) * rng.choice([-1.0, 1.0]))
+            cases.append((a, b, alpha, beta))
+        with mpmath.workdps(40):
+            for a, b, alpha, beta in cases:
+                got = osc_integral(a, b, alpha, beta)
+                z = -1j * abs(mpmath.mpf(beta))
+                p = mpmath.mpf(alpha) + 1
+                want = mpmath.re(z ** -p * mpmath.gammainc(p, z * a, z * b))
+                assert abs(got.value - float(want)) <= got.abs_error_bound, (a, b, alpha, beta)
+
+    def test_mesh_is_fixed_by_inputs(self):
+        # one pass of 8 nodes a panel, the panels set by (a, b, beta) alone:
+        # equal panels of width <= pi/|beta| above 4pi/|beta|, and below it a
+        # geometric mesh of ratio <= 5/4
+        for alpha in (-3.0, 0.0, 2.5):
+            assert osc_integral(10.0, 60.0, alpha, -20.0).terms_used == 8 * 319
+            assert osc_integral(0.1, 1.0, alpha, 1.0).terms_used == 8 * 11
+
+
+def _by_parts(a, b, alpha, beta):
+    """int_a^b t^alpha cos(beta t) dt for alpha in {1, 2} at 40 digits."""
+    with mpmath.workdps(40):
+        B = mpmath.mpf(beta)
+
+        def antiderivative(t):
+            t = mpmath.mpf(t)
+            s, c = mpmath.sin(B * t), mpmath.cos(B * t)
+            if alpha == 1:
+                return t * s / B + c / B**2
+            return t * t * s / B + 2 * t * c / B**2 - 2 * s / B**3
+        return antiderivative(b) - antiderivative(a)
 
 
 class TestOscBound:
@@ -86,6 +128,11 @@ class TestOscBound:
         chk = osc_bound_check(1.0, 1.0 + 1e-9, 1.5, 3.0)
         assert chk.lhs < 1e-8
         assert chk.ratio < 1e-8
+
+    def test_error_bound_recorded(self):
+        chk = osc_bound_check(1.0, 4.0, 2.0, 5.0)
+        assert chk.inputs["error_bound"] == osc_integral(1.0, 4.0, 2.0, 5.0).abs_error_bound
+        assert 0.0 < chk.inputs["error_bound"] < 1e-12 * chk.lhs
 
 
 class TestPowerSums:

@@ -69,7 +69,7 @@ class TestCrossTerm:
                 continue
             for m in range(1, nn):
                 L = math.log(nn / m)
-                by_quad += 2.0 * (nn * m) ** (-sigma) * osc_integral(lo, T, 0.0, L)
+                by_quad += 2.0 * (nn * m) ** (-sigma) * osc_integral(lo, T, 0.0, L).value
         assert cross_term_value(sigma, T, False) == pytest.approx(by_quad, abs=1e-7)
 
     def test_weighted_envelope(self):
@@ -140,6 +140,15 @@ class TestIntegrateMean:
         assert errs[0] < errs[1] < errs[2]
         alone = integrate_mean(0.5, grid[-1:], weighted=True)[0]
         assert errs[-1] == alone.quad_error
+
+    @pytest.mark.parametrize("sigma,weighted", [
+        (0.0, True), (0.5, True), (2.0, False), (0.5, False),
+    ])
+    def test_quad_error_at_top_of_gate(self, sigma, weighted):
+        # criteria 2-5's top T: the proven bound stays within 1e-12 of F
+        sample = integrate_mean(sigma, [TWO_PI * 1.0e4], weighted)[0]
+        assert 0.0 < sample.quad_error <= 1e-12 * sample.raw_integral
+        assert sample.n_evals % 8 == 0
 
     def test_deterministic_repeat(self):
         grid = [TWO_PI * 50.0, TWO_PI * 120.0]

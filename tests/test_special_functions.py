@@ -75,6 +75,18 @@ class TestComplexZeta:
                     assert abs(r.value - want) <= r.abs_error_bound, (sigma, t)
         assert complex_zeta(complex(0.5, 150.0)).abs_error_bound <= 1e-10
 
+    def test_reflection_against_mpmath(self):
+        # Re s < -1/2 goes through chi(s): its log sin(pi s/2) must keep the
+        # sign of sin above Im s = 40/pi, and the bound must cover the
+        # binary64 phase of log Gamma(1-s), about t log t
+        with mpmath.workdps(30):
+            for sigma in (-1.0, -2.5):
+                for t in (13.0, 50.0, 300.0, 1.0e4):
+                    for s in (complex(sigma, t), complex(sigma, -t)):
+                        r = complex_zeta(s)
+                        want = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+                        assert abs(r.value - want) <= r.abs_error_bound, s
+
     def test_range_guard(self):
         with pytest.raises(RangeExceededError):
             complex_zeta(complex(0.5, 2.0e5))
