@@ -94,9 +94,9 @@ def cross_term_value(sigma: float, T: float, weighted: bool) -> float:
     with L = log(n/m).
 
     Unweighted pairs, and weighted ones at sigma = 0 where w = 1, have the
-    exact antiderivative sin(tL)/L; other weighted pairs take `osc_integral`
-    on its own mesh over [2pi n^2, T], whose values are summed.  Pair count
-    is budgeted at sqrt(T/2pi) <= 1500.
+    exact antiderivative sin(tL)/L; other weighted pairs add the value of
+    `osc_integral`, on its own mesh over [2pi n^2, T].  Pair count is
+    budgeted at sqrt(T/2pi) <= 1500.
     """
     if not T >= TWO_PI:
         raise ValueError("requires T >= 2*pi")
