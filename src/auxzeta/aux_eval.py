@@ -53,12 +53,9 @@ import numpy as np
 from mpmath.ctx_mp import MPContext
 
 from .errors import ContourError, QuadratureConvergenceError, RangeExceededError
-from .special_functions import riemann_siegel_theta
+from .special_functions import TWO_PI_LONG, riemann_siegel_theta
 
 TWO_PI = 2.0 * math.pi
-# 2pi in extended precision, for phase reductions: the binary64 value is
-# 2.45e-16 short, an error that each full turn of a large phase adds again
-TWO_PI_LONG = np.longdouble("6.283185307179586476925286766559")
 
 MAIN_SUM_METHOD = "MainSum"
 DIRECT_CONTOUR_METHOD = "DirectContour"

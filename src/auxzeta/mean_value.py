@@ -22,16 +22,16 @@ T's, so the term count N and the panel width h are fixed on it, and at the
 node lo + (jB + i) h + h/2 + (h/2) x_m of its k panels n^{-it} is a block
 factor times an in-block factor (B ~ sqrt(k)) times a node factor.  S at
 every node of a run then takes about (2 sqrt(k) + 8) N exponentials and
-one matrix product instead of 8 k N exponentials: the phase factoring of
-Odlyzko and Schonhage (Trans. AMS 309, 1988) without the rest of their
-algorithm.  Pointwise validation of S against the contour integral lives
-in :mod:`auxzeta.aux_eval`.
+one matrix product a tile, block factors times one N x 8B matrix of
+in-block times node factors, instead of 8 k N exponentials: the phase
+factoring of Odlyzko and Schonhage (Trans. AMS 309, 1988) without the
+rest of their algorithm.  :mod:`auxzeta.aux_eval` validates S pointwise.
 
 Determinism contract: the runs are a pure function of (T_max, grid), each
-is folded in ascending order, and a stream starts no threads; its matrix
-products run in BLAS, whose threads split rows but never the sum over n,
-so identical configurations give bit-identical samples regardless of the
-caller's thread budget.
+is folded in ascending order over tiles fixed by (k, N), and a stream
+starts no threads; its matrix products run in BLAS, whose threads split
+rows but never the sum over n, so identical configurations give
+bit-identical samples regardless of the caller's thread budget.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .bound_checks import _GLW8, _GLX8, _U, _U_LD, _gl8_error, osc_integral
 from .errors import BudgetExceededError
 
 _PAIR_BUDGET_SQRT = 1500.0
-# panels x terms in one product of block and in-block factors (4 MiB of
-# complex128), so memory does not grow with a run's length or N
+# complex values in each operand and the output of one tile's matrix
+# product (4 MiB of complex128), so memory does not grow with a run's length
 _CHUNK_TERMS = 1 << 18
 
 
@@ -151,35 +151,38 @@ def _runs(T_max: float, markers: list[float]) -> list[tuple[float, float, int]]:
     return runs
 
 
-def _phases(x: np.ndarray, log_n: np.ndarray) -> np.ndarray:
-    """exp(-i x log n) on the outer grid, reduced mod 2pi in extended precision."""
-    return np.exp(-1j * np.mod(np.outer(x, log_n), TWO_PI_LONG).astype(np.float64))
+def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(-i a b) on the outer grid a x b, reduced mod 2pi in extended precision."""
+    return np.exp(-1j * np.mod(np.outer(a, b), TWO_PI_LONG).astype(np.float64))
 
 
 def _fold_run(sigma: float, weighted: bool, lo: float, h: float, k: int, N: int
               ) -> np.ndarray:
     """Order-8 Gauss-Legendre contributions of the k panels of width h from
-    lo, on which S has N terms, by the block x in-block x node factoring."""
+    lo, N terms: S = block @ R a tile, R[n, 8i + m] = in-block[n, i] node[n, m]."""
     if N == 0:
         return np.zeros(k)
     B = math.isqrt(k - 1) + 1
     n_blocks = -(-k // B)
     log_n = np.log(np.arange(1, N + 1, dtype=np.longdouble))
     block = _phases(lo + h * (0.5 + B * np.arange(n_blocks, dtype=np.longdouble)), log_n)
-    inner = _phases(h * np.arange(B, dtype=np.longdouble), log_n)
     node = (np.arange(1.0, N + 1.0)[:, None] ** -sigma
-            * _phases(0.5 * h * _GLX8.astype(np.longdouble), log_n).T)
-    contrib = np.empty(n_blocks * B)
-    step = max(1, _CHUNK_TERMS // (B * N))
-    for j0 in range(0, n_blocks, step):
-        S = (block[j0:j0 + step, None, :] * inner[None, :, :]).reshape(-1, N) @ node
-        vals = S.real**2 + S.imag**2
-        p0 = j0 * B
-        if weighted:
-            mid = lo + h * (0.5 + np.arange(p0, p0 + len(vals)))
-            vals *= ((mid[:, None] + 0.5 * h * _GLX8[None, :]) / TWO_PI) ** sigma
-        contrib[p0:p0 + len(vals)] = (vals * _GLW8[None, :]).sum(axis=1) * (0.5 * h)
-    return contrib[:k]
+            * _phases(log_n, 0.5 * h * _GLX8.astype(np.longdouble)))
+    contrib = np.empty((n_blocks, B))
+    cols = max(1, min(B, _CHUNK_TERMS // (8 * N)))
+    rows = max(1, min(n_blocks, _CHUNK_TERMS // N, _CHUNK_TERMS // (8 * cols)))
+    for i0 in range(0, B, cols):
+        i = np.arange(i0, min(i0 + cols, B))
+        R = (_phases(log_n, h * i.astype(np.longdouble))[:, :, None]
+             * node[:, None, :]).reshape(N, -1)
+        for j0 in range(0, n_blocks, rows):
+            S = block[j0:j0 + rows] @ R
+            vals = (S.real**2 + S.imag**2).reshape(len(S), len(i), 8)
+            if weighted and sigma != 0.0:
+                mid = lo + h * (0.5 + B * np.arange(j0, j0 + len(S))[:, None] + i)
+                vals *= ((mid[:, :, None] + 0.5 * h * _GLX8) / TWO_PI) ** sigma
+            contrib[j0:j0 + rows, i0:i0 + cols] = vals @ (0.5 * h * _GLW8)
+    return contrib.ravel()[:k]
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,7 @@ def _run_error(sigma: float, weighted: bool, lo: float, hi: float, k: int, N: in
     at most (sum n^{-sigma+B})^2 max|w|.  Each node's S is within
     delta = ((N+17) u + 3 u_ld hi log N) sum n^{-sigma}, so by Cauchy-Schwarz
     roundoff adds 2 delta sqrt(F_run W) + delta^2 W, W = (hi - lo) max w.
+    `_fold_run`'s contraction order keeps each term's phases and roundings.
     """
     hw, log_N = 0.5 * (hi - lo) / k, math.log(N)
     rho = min(18.0 / (hw * log_N) if N > 1 else math.inf, lo / hw, 64.0)
@@ -265,8 +269,7 @@ def integrate_mean(sigma: float, t_grid: list[float], weighted: bool
 
 def moment_stream(sigma: float, T_max: float, weighted: bool) -> MomentStream:
     """Cumulative F(T) on the full panel grid up to T_max (for transforms)."""
-    _, stream, _ = _stream(sigma, [float(T_max)], weighted)
-    return stream
+    return _stream(sigma, [float(T_max)], weighted)[1]
 
 
 def decomposition_check(sigma: float, T: float, weighted: bool) -> float:

@@ -27,7 +27,7 @@ EULER_GAMMA = 0.5772156649015329
 HALF_LOG_TWO_PI = 0.9189385332046727
 
 # 2pi for phase reductions; the binary64 value is 2.45e-16 short a turn
-_TWO_PI_LONG = np.longdouble("6.283185307179586476925286766559")
+TWO_PI_LONG = np.longdouble("6.283185307179586476925286766559")
 
 # Bernoulli numbers B_2, B_4, ..., B_28 as exact fractions evaluated in binary64.
 _BERNOULLI_2K = (
@@ -86,7 +86,7 @@ def _powers_neg_s(n: np.ndarray, s: complex) -> np.ndarray:
     precision so the argument t*log(n) keeps ~1e-13 rad accuracy even for
     t near 1e5."""
     log_n = np.log(n.astype(np.longdouble))
-    phase = np.mod(-s.imag * log_n, _TWO_PI_LONG).astype(np.float64)
+    phase = np.mod(-s.imag * log_n, TWO_PI_LONG).astype(np.float64)
     amp = np.exp(-s.real * np.log(n))
     return amp * (np.cos(phase) + 1j * np.sin(phase))
 

@@ -3,6 +3,7 @@
 import math
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -118,10 +119,11 @@ class TestIntegrateMean:
             assert s.value == s.raw_integral / s.T
 
     def test_panel_refinement_within_quad_error(self):
-        # quad_error, the panel-halving estimate, covers the stream's true
-        # error, measured against the independent diagonal + cross split;
-        # at 2pi * 2000 only the pairs with an exact antiderivative, since
-        # the weighted sigma != 0 cross term takes seconds there
+        # quad_error, the sum of the runs' proven bounds, covers the stream's
+        # true error, measured against the independent diagonal + cross split;
+        # at 2pi * 2000 only the pairs with an exact antiderivative, since the
+        # weighted sigma != 0 cross term takes about 1.2 s a case there (2-core
+        # x86_64, numpy 2.4), against 0.04 s for the stream
         cheap = ((0.0, True), (-1.0, False), (0.5, False), (2.0, False))
         cases = [(TWO_PI * x, sigma, weighted) for x in (100.0, 400.0)
                  for sigma, weighted in cheap + ((0.5, True), (-1.0, True))]
@@ -170,20 +172,23 @@ class TestIntegrateMean:
         assert stream.F[0] == 0.0
         assert all(b >= a for a, b in zip(stream.F, stream.F[1:]))
 
-    def test_pool_threads_match_serial(self):
-        # the kernel's matrix product runs in BLAS; two streams at once from
-        # a pool must give the bits that one stream at a time gives
+    def test_pool_threads_match_serial(self, monkeypatch):
+        # the kernel's matrix products run in BLAS; two streams at once from
+        # a pool must give the bits that one stream at a time gives, also
+        # when small tiles split every run into many products
         grid = [TWO_PI * 400.0, TWO_PI * 1000.0]
         cases = [(0.5, True), (2.0, False)]
-        serial = [integrate_mean(sigma, grid, weighted) for sigma, weighted in cases]
-        start = threading.Barrier(len(cases))
 
         def one(case):
             start.wait()
             return integrate_mean(case[0], grid, case[1])
 
-        with ThreadPoolExecutor(max_workers=len(cases)) as pool:
-            assert list(pool.map(one, cases)) == serial
+        for chunk_terms in (mean_value._CHUNK_TERMS, 3000):
+            monkeypatch.setattr(mean_value, "_CHUNK_TERMS", chunk_terms)
+            serial = [integrate_mean(sigma, grid, weighted) for sigma, weighted in cases]
+            start = threading.Barrier(len(cases))
+            with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+                assert list(pool.map(one, cases)) == serial, chunk_terms
 
     def test_budget_fails_fast(self):
         # the cross term's pair budget, checked before any panel is built
@@ -216,7 +221,7 @@ class TestFoldRun:
     @pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.5, 2.0])
     @pytest.mark.parametrize("chunk_terms", [None, 3000])
     def test_matches_node_by_node(self, monkeypatch, sigma, weighted, chunk_terms):
-        if chunk_terms is not None:  # many chunks per run
+        if chunk_terms is not None:  # tiles split the rows and the columns
             monkeypatch.setattr(mean_value, "_CHUNK_TERMS", chunk_terms)
         grid = [TWO_PI * 1234.5, TWO_PI * 2000.5]
         runs = {hi: (lo, hi, k) for lo, hi, k in _runs(grid[-1], grid)}
@@ -227,3 +232,26 @@ class TestFoldRun:
             got = _fold_run(sigma, weighted, lo, h, k, n_main_terms(0.5 * (lo + hi)))
             want = _fold_node_by_node(sigma, weighted, lo, h, k)
             assert np.all(np.abs(got - want) <= 1e-12 * want), (lo, hi, k)
+        # the first 64 panels of the run that ends at 2pi 1500^2, N = 1499:
+        # folding 1024 of them puts 8 x 32 x 1499 values in the right-hand
+        # factor, more than the default tile bound, so its columns are tiled.
+        # At t ~ 1.4e7 the phases t log n ~ 1e8 rad each carry a long double
+        # rounding of about 5e-12 rad, in the oracle as in the fold, so the
+        # two agree to 3.3e-11 here (the untiled kernel too), not to 1e-12
+        lo, hi = TWO_PI * 1499.0**2, TWO_PI * 1500.0**2
+        h = (hi - lo) / math.ceil((hi - lo) / mean_value.panel_width(hi))
+        got = _fold_run(sigma, weighted, lo, h, 1024, 1499)[:64]
+        want = _fold_node_by_node(sigma, weighted, lo, h, 64)
+        assert np.all(np.abs(got - want) <= 1e-10 * want), (lo, hi, 64)
+
+    def test_peak_memory(self):
+        # tiles bound the kernel's memory at N = 1499 whatever the run's length
+        lo, hi = TWO_PI * 1499.0**2, TWO_PI * 1500.0**2
+        h = (hi - lo) / math.ceil((hi - lo) / mean_value.panel_width(hi))
+        tracemalloc.start()
+        try:
+            _fold_run(0.5, True, lo, h, 40000, 1499)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, peak
