@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .aux_eval import (AuxEval, critical_line_decomposition, eval_aux,
                        eval_aux_direct, main_sum, n_main_terms)
-from .bound_checks import (BoundCheck, double_sum_growth, osc_bound_check,
-                           osc_integral, power_sum_asymptotic,
-                           power_sum_partial)
+from .bound_checks import (BoundCheck, double_sum_growth, double_sum_table,
+                           osc_bound_check, osc_integral,
+                           power_sum_asymptotic, power_sum_partial)
 from .config import RunConfig, load_config, parse_config
 from .laplace import (LaplaceScanRow, laplace_numeric, laplace_ratio_scan,
                       power_law_stream)
@@ -30,7 +30,7 @@ __all__ = [
     "LaplaceScanRow", "MeanValueSample", "Prediction", "RunConfig",
     "complex_zeta", "critical_line_decomposition", "cross_term_value",
     "decomposition_check", "diagonal_closed_form",
-    "double_sum_growth", "eval_aux", "eval_aux_direct",
+    "double_sum_growth", "double_sum_table", "eval_aux", "eval_aux_direct",
     "exp_poly_integral", "gamma_real", "integrate_mean", "laplace_numeric",
     "laplace_ratio_scan", "load_config", "log_gamma", "main_sum",
     "moment_stream", "n_main_terms", "osc_bound_check", "osc_integral",

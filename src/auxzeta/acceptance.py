@@ -197,9 +197,9 @@ def criterion_7() -> CriterionResult:
 
     grids = [(bound_checks.QUOTIENT_KIND, s) for s in (-1.0, -2.0)] + \
             [(bound_checks.PRODUCT_KIND, s) for s in (0.5, 1.0, 2.0)]
-    for kind, sigma in grids:
-        ratios = [bound_checks.double_sum_growth(float(x), sigma, kind).ratio
-                  for x in (250, 500, 1000, 2000)]
+    table = bound_checks.double_sum_table([250.0, 500.0, 1000.0, 2000.0], grids)
+    for (kind, sigma), checks in zip(grids, table):
+        ratios = [chk.ratio for chk in checks]
         spread = max(ratios) / min(ratios)
         finite = all(math.isfinite(r) for r in ratios)
         ok &= finite and spread <= 5.0

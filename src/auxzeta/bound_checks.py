@@ -7,16 +7,17 @@ Bernstein ellipse, which the moment stream shares.  Three families:
   over a mesh fixed by (a, b, beta) with a proven error bound, and the
   first-derivative bound  3/|beta| * max(a^alpha, b^alpha);
 * partial power sums  sum_{n<=x} n^{-2 sigma}  against their three-case
-  asymptotic main terms;
+  asymptotic main terms, with a proven roundoff bound on each residual;
 * the two double sums over pairs m < n <= x weighted by 1/log(n/m), whose
   growth orders are checked as bounded ratios on doubling grids (the
   implied constants depend on sigma, so no fixed constant is asserted).
-  They are summed over every pair, 32 rows n at a time: each pair costs
-  one log1p((n-m)/m) and a reciprocal, the weights n^{+-sigma} and
-  m^{-sigma} are vectors formed once per call, a block's row sums are one
-  matrix-vector product, and the N-1 row sums are added exactly by
-  math.fsum.  log1p keeps full relative accuracy next to the diagonal,
-  where log(n/m) of the rounded quotient does not.
+  One pass of 32-row blocks up to the largest x serves every case and
+  every x: each pair costs one log1p((n-m)/m) and a reciprocal, shared by
+  all cases, a block's row sums for all cases are one matrix product with
+  the weights m^{-sigma} (BLAS threads never split its sum over m), and
+  each x adds its prefix of the row sums exactly by math.fsum.  log1p
+  keeps full relative accuracy next to the diagonal, where log(n/m) of
+  the rounded quotient does not.
 """
 
 from __future__ import annotations
@@ -127,48 +128,64 @@ def power_sum_partial(x: float, sigma: float) -> float:
     return total
 
 
-def power_sum_asymptotic(x: float, sigma: float) -> float:
+def power_sum_asymptotic(x: float, sigma: float) -> EvalResult:
     """Main terms of the partial power sum, by case:
 
     sigma <= 0:            x^{1-2s}/(1-2s)
     0 < sigma, sigma != 1/2: zeta(2s) + x^{1-2s}/(1-2s)
     sigma = 1/2:           log x + gamma
+
+    with a bound on their roundoff: log and pow within an ulp (the rounded
+    exponent 1-2s moves x^{1-2s} by u |1-2s| log x more), a rounding each
+    for the constant, the division and the sum, and zeta's own bound.
     """
     if sigma == 0.5:
-        return math.log(x) + EULER_GAMMA
-    lead = x ** (1.0 - 2.0 * sigma) / (1.0 - 2.0 * sigma)
-    if sigma <= 0.0:
-        return lead
-    return real_zeta(2.0 * sigma).value + lead
+        lead, const = math.log(x), EvalResult(EULER_GAMMA, _U * EULER_GAMMA, 0)
+    else:
+        lead = x ** (1.0 - 2.0 * sigma) / (1.0 - 2.0 * sigma)
+        const = real_zeta(2.0 * sigma) if sigma > 0.0 else EvalResult(0.0, 0.0, 0)
+    value = const.value + lead
+    lead_ulps = abs(1.0 - 2.0 * sigma) * abs(math.log(x)) + 6.0
+    return EvalResult(value, const.abs_error_bound
+                      + _U * (lead_ulps * abs(lead) + abs(value)), const.terms_used)
 
 
 def power_sum_check(x: float, sigma: float) -> BoundCheck:
-    """Scaled residual of the partial power sum against its main terms.
+    """Scaled residual of the partial power sum against its main terms,
+    with a proven bound on its roundoff in inputs["error_bound"].
 
     The residual is O(x^{-2 sigma}) away from sigma = 1/2 and O(1/x) there,
     so (partial - main) times the inverse of that envelope stays bounded.
 
-    When the envelope undercuts binary64 resolution of the sum (large
-    sigma * log x, e.g. sigma = 2 beyond x ~ 2000) the subtraction is pure
-    roundoff in doubles, so the check moves to working precision sized to
-    the headroom: an exact fixed-point integer sum when 2 sigma is a
-    positive integer, one correctly rounded sum of mp terms otherwise, and
-    main terms in mp.  The route stays direct summation either way.
+    In binary64 each term n^{-2 sigma} is within 4 ulp and passes through
+    at most bit_length(N) + 30 additions (numpy's pairwise sum, then at
+    most five 4e6-term chunks).  When the envelope undercuts binary64
+    resolution of the sum (large sigma * log x, e.g. sigma = 2 beyond
+    x ~ 2000) the subtraction is pure roundoff in doubles, so the check
+    moves to working precision sized to the headroom: an exact fixed-point
+    integer sum when 2 sigma is a positive integer, one correctly rounded
+    sum of mp terms otherwise, and main terms in mp.  The route stays
+    direct summation either way.
     """
     res_scale = 1.0 / x if sigma == 0.5 else x ** (-2.0 * sigma)
-    value_scale = max(1.0, abs(power_sum_asymptotic(x, sigma)))
-    headroom = value_scale / res_scale
+    main = power_sum_asymptotic(x, sigma)
+    headroom = max(1.0, abs(main.value)) / res_scale
     if headroom <= 1.0e13:
-        resid = power_sum_partial(x, sigma) - power_sum_asymptotic(x, sigma)
+        partial = power_sum_partial(x, sigma)
+        resid = partial - main.value
+        ulps = int(math.floor(x + 1e-9)).bit_length() + 38
+        error = _U * (ulps * partial + abs(resid)) + main.abs_error_bound
     else:
-        resid = _power_sum_residual_mp(x, sigma, headroom)
+        resid, error = _power_sum_residual_mp(x, sigma, headroom)
     scaled = resid / res_scale
     return BoundCheck(abs(scaled), 1.0, abs(scaled),
-                      {"x": x, "sigma": sigma, "residual": resid})
+                      {"x": x, "sigma": sigma, "residual": resid,
+                       "error_bound": error / res_scale})
 
 
-def _power_sum_residual_mp(x: float, sigma: float, headroom: float) -> float:
-    """partial - main terms by direct summation in extended precision.
+def _power_sum_residual_mp(x: float, sigma: float, headroom: float) -> tuple[float, float]:
+    """partial - main terms by direct summation in extended precision, and
+    a bound on its error.
 
     Working precision is ctx.prec bits, with dps = log10(headroom) + 12.
     When e = 2 sigma is a positive integer the partial sum is the exact
@@ -177,7 +194,9 @@ def _power_sum_residual_mp(x: float, sigma: float, headroom: float) -> float:
     2^-(ctx.prec + 8) in all, a proven bound.  Other exponents take one mp
     power per term, summed exactly and rounded once by ctx.fsum (exact
     while the terms span under 2 ctx.prec bits; the smallest, x^{-2 sigma},
-    is about 1/headroom).
+    is about 1/headroom).  The error bound allows 8 units of 2^-ctx.prec on
+    the sum and on the main terms, which covers the floors (the sum is at
+    least 1), plus the final rounding to binary64.
     """
     from mpmath.ctx_mp import MPContext
 
@@ -201,26 +220,36 @@ def _power_sum_residual_mp(x: float, sigma: float, headroom: float) -> float:
         asym = xm ** (1 - 2 * ctx.mpf(sigma)) / (1 - 2 * ctx.mpf(sigma))
         if sigma > 0.0:
             asym += ctx.zeta(2 * ctx.mpf(sigma))
-    return float(total - asym)
+    resid = float(total - asym)
+    return resid, 8.0 * 2.0 ** -ctx.prec * float(abs(total) + abs(asym)) + _U * abs(resid)
 
 
-def _double_sum(x: float, sigma: float, kind: str) -> float:
-    """sum_{m<n<=x} a_n b_m / log(n/m), where a_n b_m is n^sigma m^-sigma
-    (quotient kind) or (n m)^-sigma (product kind).  A block's
-    R[n, m] = 1/log1p((n-m)/m) is zero for m >= n, and its row sums are
-    a_n (R @ b)."""
-    if kind not in (QUOTIENT_KIND, PRODUCT_KIND):
-        raise ValueError(f"unknown kind {kind!r}")
-    N = int(math.floor(x + 1e-9))
+def double_sum_table(xs, cases) -> list[list[BoundCheck]]:
+    """Exact double sums over m < n <= x against their growth envelopes,
+    table[i][j] for case i = (kind, sigma) at x = xs[j].  Every input is
+    checked before one pass of row blocks runs up to max(xs): a block's
+    R[n, m] = 1/log1p((n-m)/m), zero for m >= n, is formed once, and its
+    row sums for all cases are a_n (R @ B), B the N x cases matrix of b_m.
+    """
+    if min(xs) < 2.0:
+        raise ValueError("double sums need x >= 2")
+    Ns = [int(math.floor(x + 1e-9)) for x in xs]
+    N = max(Ns)
+    for kind, sigma in cases:
+        if kind not in (QUOTIENT_KIND, PRODUCT_KIND):
+            raise ValueError(f"unknown kind {kind!r}")
+        if kind == QUOTIENT_KIND and sigma >= 0.0:
+            raise ValueError("quotient-kind growth check requires sigma < 0")
+        if kind == QUOTIENT_KIND and -sigma * math.log(N) > 708.0:
+            # the weights n^sigma and m^-sigma must stay normal binary64 numbers
+            raise ValueError(f"quotient-kind weights leave binary64 at sigma={sigma}, x={max(xs)}")
     if N > _DOUBLE_SUM_BUDGET:
         raise BudgetExceededError(f"double sum capped at x = {_DOUBLE_SUM_BUDGET}")
-    if kind == QUOTIENT_KIND and -sigma * math.log(N) > 708.0:
-        # the weights n^sigma and m^-sigma must stay normal binary64 numbers
-        raise ValueError(f"quotient-kind weights leave binary64 at sigma={sigma}, x={x}")
     k = np.arange(1, N + 1, dtype=np.float64)
-    b = k ** -sigma
-    a = k ** sigma if kind == QUOTIENT_KIND else b
-    rows = np.empty(N - 1)
+    B = np.stack([k ** -sigma for _, sigma in cases], axis=1)
+    A = np.stack([k ** sigma if kind == QUOTIENT_KIND else B[:, i]
+                  for i, (kind, sigma) in enumerate(cases)], axis=1)
+    rows = np.empty((N - 1, len(cases)))
     for n0 in range(2, N + 1, _DOUBLE_SUM_ROWS):
         n1 = min(N, n0 + _DOUBLE_SUM_ROWS - 1)
         m = k[:n1 - 1]
@@ -230,22 +259,15 @@ def _double_sum(x: float, sigma: float, kind: str) -> float:
         np.log1p(R, out=R)
         np.divide(1.0, R, out=R, where=below)
         R[~below] = 0.0
-        rows[n0 - 2:n1 - 1] = a[n0 - 1:n1] * (R @ b[:n1 - 1])
-    return math.fsum(rows)
+        rows[n0 - 2:n1 - 1] = A[n0 - 1:n1] * (R @ B[:n1 - 1])
+    return [[_growth_check(math.fsum(rows[:n - 1, i].tolist()), x, sigma, kind)
+             for x, n in zip(xs, Ns)] for i, (kind, sigma) in enumerate(cases)]
 
 
-def double_sum_growth(x: float, sigma: float, kind: str) -> BoundCheck:
-    """Exact double sum over m < n <= x against its growth envelope.
-
-    kind = "sigma_quotient" (requires sigma < 0): envelope x^2 log x.
-    kind = "sigma_product": envelope x^{2-2s} log x for sigma < 1,
-    log^2 x at sigma = 1, constant for sigma > 1.
-    """
-    if kind == QUOTIENT_KIND and sigma >= 0.0:
-        raise ValueError("quotient-kind growth check requires sigma < 0")
-    if x < 2.0:
-        raise ValueError("double sums need x >= 2")
-    lhs = _double_sum(x, sigma, kind)
+def _growth_check(lhs: float, x: float, sigma: float, kind: str) -> BoundCheck:
+    """lhs against its envelope: x^2 log x for the quotient kind (sigma < 0),
+    a_n b_m = n^sigma m^-sigma; for the product kind, a_n b_m = (n m)^-sigma,
+    x^{2-2s} log x for sigma < 1, log^2 x at sigma = 1, constant above."""
     lx = math.log(x)
     if kind == QUOTIENT_KIND:
         rhs = x * x * lx
@@ -256,6 +278,11 @@ def double_sum_growth(x: float, sigma: float, kind: str) -> BoundCheck:
     else:
         rhs = 1.0
     return BoundCheck(lhs, rhs, lhs / rhs, {"x": x, "sigma": sigma, "kind": kind})
+
+
+def double_sum_growth(x: float, sigma: float, kind: str) -> BoundCheck:
+    """One case of `double_sum_table` at one x."""
+    return double_sum_table([x], [(kind, sigma)])[0][0]
 
 
 def random_osc_sweep(n_samples: int, seed: int) -> list[BoundCheck]:

@@ -174,13 +174,13 @@ def cmd_lemmas(ctx: RunContext) -> tuple[list[list], int, int]:
             chk = bound_checks.power_sum_check(x, sigma)
             rows.append(["power_sum", f"x={x:.6g} sigma={sigma:.6g}",
                          chk.lhs, chk.rhs_bound, chk.ratio])
-    for kind, sigmas in ((bound_checks.QUOTIENT_KIND, [-1.0]),
-                         (bound_checks.PRODUCT_KIND, [0.5, 1.0, 2.0])):
-        for sigma in sigmas:
-            for x in (250, 500, 1000, 2000):
-                chk = bound_checks.double_sum_growth(float(x), sigma, kind)
-                rows.append([kind, f"x={x} sigma={sigma:.6g}",
-                             chk.lhs, chk.rhs_bound, chk.ratio])
+    cases = [(bound_checks.QUOTIENT_KIND, -1.0)] + \
+        [(bound_checks.PRODUCT_KIND, sigma) for sigma in (0.5, 1.0, 2.0)]
+    table = bound_checks.double_sum_table([250.0, 500.0, 1000.0, 2000.0], cases)
+    for (kind, sigma), checks in zip(cases, table):
+        for chk in checks:
+            rows.append([kind, f"x={chk.inputs['x']:.0f} sigma={sigma:.6g}",
+                         chk.lhs, chk.rhs_bound, chk.ratio])
     return rows, 0, 0
 
 

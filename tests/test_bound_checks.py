@@ -1,5 +1,6 @@
 """Bound-suite oracles: oscillatory integrals, power sums, double sums."""
 
+import functools
 import math
 import time
 
@@ -7,8 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from auxzeta import bound_checks
 from auxzeta.bound_checks import (PRODUCT_KIND, QUOTIENT_KIND,
-                                  double_sum_growth, osc_bound_check,
+                                  double_sum_growth, double_sum_table,
+                                  osc_bound_check,
                                   osc_integral, power_sum_asymptotic,
                                   power_sum_check, power_sum_partial,
                                   random_osc_sweep)
@@ -143,9 +146,9 @@ class TestPowerSums:
         assert want == pytest.approx(2.9289682540, abs=1e-9)
 
     def test_asymptotic_critical_case(self):
-        assert power_sum_asymptotic(10.0, 0.5) == pytest.approx(
+        assert power_sum_asymptotic(10.0, 0.5).value == pytest.approx(
             math.log(10.0) + EULER_GAMMA, rel=1e-14)
-        assert power_sum_asymptotic(10.0, 0.5) == pytest.approx(2.8798007579, abs=1e-9)
+        assert power_sum_asymptotic(10.0, 0.5).value == pytest.approx(2.8798007579, abs=1e-9)
 
     def test_sigma_one_residual(self):
         # sum n^-2 = zeta(2) - 1/x + O(x^-2): scaled residual stays bounded
@@ -158,8 +161,8 @@ class TestPowerSums:
     def test_case_selection(self):
         # sigma <= 0 must not include the zeta constant
         x = 50.0
-        assert power_sum_asymptotic(x, -1.0) == pytest.approx(x**3 / 3.0, rel=1e-12)
-        got = power_sum_asymptotic(x, 1.0)
+        assert power_sum_asymptotic(x, -1.0).value == pytest.approx(x**3 / 3.0, rel=1e-12)
+        got = power_sum_asymptotic(x, 1.0).value
         assert got == pytest.approx(real_zeta(2.0).value - 1.0 / x, rel=1e-12)
 
     def test_budget(self):
@@ -176,11 +179,60 @@ class TestPowerSums:
         chk = power_sum_check(x, sigma)
         assert chk.inputs["residual"] * x**a == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("sigma", [-1.0, 0.25, 0.5, 1.0, 1.75, 2.0])
+    def test_main_terms_within_bound(self, sigma):
+        # against the main terms at 30 digits; the bound stays within 1e-13
+        # of the value, so it still says something
+        for x in (1.0e3, 1.0e6, 2.0e6):
+            got = power_sum_asymptotic(x, sigma)
+            with mpmath.workdps(30):
+                e = 1 - 2 * mpmath.mpf(sigma)
+                want = mpmath.log(x) + mpmath.euler if sigma == 0.5 else mpmath.mpf(x) ** e / e
+                if sigma > 0 and sigma != 0.5:
+                    want += mpmath.zeta(2 * mpmath.mpf(sigma))
+            assert abs(got.value - float(want)) <= got.abs_error_bound, x
+            assert got.abs_error_bound <= 1e-13 * abs(got.value), x
+
+    @pytest.mark.parametrize("x", [1.0e5, 1.0e6, 2.0e6])
+    def test_binary64_bound_covers_roundoff(self, x):
+        # sigma = 1 stays on the binary64 branch up to 2e6 (headroom 6.6e12),
+        # where roundoff moves the scaled residual by up to 1e-3 from its
+        # Euler-Maclaurin value 1/2 - 1/(6x) + O(x^-3)
+        chk = power_sum_check(x, 1.0)
+        gap = abs(chk.inputs["residual"] * x * x - (0.5 - 1.0 / (6.0 * x)))
+        assert gap <= chk.inputs["error_bound"] <= 0.1
+
+    def test_extended_bound_covers_roundoff(self):
+        # both extended branches: their bounds cover the distance to the
+        # Euler-Maclaurin value (whose next term is below 1e-17 here)
+        for x, sigma in ((1.0e4, 2.0), (1.0e5, 2.0), (6000.0, 1.75)):
+            a = 2.0 * sigma
+            want = 0.5 - a / (12.0 * x) + a * (a + 1.0) * (a + 2.0) / (720.0 * x**3)
+            chk = power_sum_check(x, sigma)
+            gap = abs(chk.inputs["residual"] * x**a - want)
+            assert gap <= chk.inputs["error_bound"] <= 1e-11, (x, sigma)
+
     def test_extended_budget_fails_fast(self):
         t0 = time.perf_counter()
         with pytest.raises(BudgetExceededError):
             power_sum_check(2.5e7, 2.0)
         assert time.perf_counter() - t0 < 0.1
+
+
+CRITERION_7_CASES = [(QUOTIENT_KIND, -1.0), (QUOTIENT_KIND, -2.0),
+                     (PRODUCT_KIND, 0.5), (PRODUCT_KIND, 1.0), (PRODUCT_KIND, 2.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_row_sums(kind, sigma, N):
+    """a_n sum_{m<n} b_m / log(n/m) for n = 2..N at 30 digits."""
+    with mpmath.workdps(30):
+        logs = [mpmath.log(k) for k in range(1, N + 1)]
+        b = [mpmath.power(k, -sigma) for k in range(1, N + 1)]
+        a = [mpmath.power(k, sigma) for k in range(1, N + 1)] \
+            if kind == QUOTIENT_KIND else b
+        return [a[n] * mpmath.fsum(b[m] / (logs[n] - logs[m]) for m in range(n))
+                for n in range(1, N)]
 
 
 class TestDoubleSums:
@@ -224,24 +276,60 @@ class TestDoubleSums:
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-3 * vals[-1]
 
-    @pytest.mark.parametrize("kind,sigma", [(QUOTIENT_KIND, -1.0), (QUOTIENT_KIND, -2.0),
-                                            (PRODUCT_KIND, 0.5), (PRODUCT_KIND, 1.0),
-                                            (PRODUCT_KIND, 2.0)])
+    @pytest.mark.parametrize("kind,sigma", CRITERION_7_CASES)
     def test_matches_mp_reference(self, kind, sigma):
         # the five criterion-7 cases against a 30-digit sum over all 19,900
         # pairs of N = 200; x = 200.5 floors to the same N
-        N = 200
         with mpmath.workdps(30):
-            logs = [mpmath.log(k) for k in range(1, N + 1)]
-            b = [mpmath.power(k, -sigma) for k in range(1, N + 1)]
-            a = [mpmath.power(k, sigma) for k in range(1, N + 1)] \
-                if kind == QUOTIENT_KIND else b
-            want = mpmath.fsum(
-                a[n] * mpmath.fsum(b[m] / (logs[n] - logs[m]) for m in range(n))
-                for n in range(1, N))
+            want = mpmath.fsum(_mp_row_sums(kind, sigma, 200))
             for x in (200.0, 200.5):
                 got = double_sum_growth(x, sigma, kind).lhs
                 assert abs(got - want) <= 1e-15 * abs(want), (x, got, want)
+
+    def test_table_matches_mp_reference(self):
+        # one table for all five cases: x = 100 reads a prefix of the rows
+        # that x = 200 sums
+        table = double_sum_table([100.0, 200.0], CRITERION_7_CASES)
+        for (kind, sigma), checks in zip(CRITERION_7_CASES, table):
+            rows = _mp_row_sums(kind, sigma, 200)
+            with mpmath.workdps(30):
+                for chk, N in zip(checks, (100, 200)):
+                    want = mpmath.fsum(rows[:N - 1])
+                    assert abs(chk.lhs - want) <= 1e-15 * abs(want), (kind, sigma, N)
+                    assert chk.inputs == {"x": float(N), "sigma": sigma, "kind": kind}
+                    assert chk.ratio == chk.lhs / chk.rhs_bound
+
+    @pytest.mark.parametrize("n_cases", [1, 5])
+    def test_kernel_shared_by_cases(self, monkeypatch, n_cases):
+        # one log1p a 32-row block, whatever the number of cases and of x
+        calls = []
+        log1p = np.log1p
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return log1p(*args, **kwargs)
+
+        monkeypatch.setattr(bound_checks.np, "log1p", counting)
+        N = 1000
+        double_sum_table([250.0, 500.0, float(N)], CRITERION_7_CASES[:n_cases])
+        assert len(calls) == -(-(N - 1) // 32)
+
+    @pytest.mark.parametrize("xs, cases, error, match", [
+        ([100.0], [(PRODUCT_KIND, 1.0), ("nonsense", 1.0)], ValueError, "unknown kind"),
+        ([100.0], [(QUOTIENT_KIND, 0.5)], ValueError, "requires sigma < 0"),
+        ([100.0, 1.5], [(PRODUCT_KIND, 1.0)], ValueError, "x >= 2"),
+        ([100.0, 3001.0], [(PRODUCT_KIND, 1.0)], BudgetExceededError, "capped"),
+        ([100.0, 3000.0], [(PRODUCT_KIND, 1.0), (QUOTIENT_KIND, -90.0)], ValueError,
+         "leave binary64"),
+    ])
+    def test_table_refuses_before_any_block(self, monkeypatch, xs, cases, error, match):
+        # the errors of double_sum_growth, raised before the first kernel
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(bound_checks.np, "log1p", no_block)
+        with pytest.raises(error, match=match):
+            double_sum_table(xs, cases)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

@@ -4,10 +4,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import auxzeta
 from auxzeta.aux_eval import eval_aux
+from auxzeta.bound_checks import PRODUCT_KIND, QUOTIENT_KIND, double_sum_growth
 from auxzeta.cache import FORMAT_TAG
 from auxzeta.cli import main
 from auxzeta.mean_value import integrate_mean
@@ -203,6 +207,32 @@ class TestLemmasCmd:
         assert lines[0] == "lemma,inputs,lhs,bound,ratio"
         osc_rows = [l for l in lines[1:] if l.startswith("osc_bound")]
         assert osc_rows and all(float(l.split(",")[-1]) <= 1.0 for l in osc_rows)
+
+    def test_double_sum_rows(self, tmp_path):
+        # the 16 double-sum rows close the file in their order, with their
+        # labels, each lhs within 2 ulp of its own double_sum_growth call
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, "sigma_list = 1\nseed = 5\n")
+        assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        text = _read(tmp_path / "a" / "lemmas.csv")
+        rows = list(csv.reader(text.decode().splitlines()))
+        expect = [(kind, x, sigma)
+                  for kind, sigmas in ((QUOTIENT_KIND, (-1.0,)), (PRODUCT_KIND, (0.5, 1.0, 2.0)))
+                  for sigma in sigmas for x in (250, 500, 1000, 2000)]
+        assert [r[:2] for r in rows[-16:]] == [[kind, f"x={x} sigma={sigma:.6g}"]
+                                               for kind, x, sigma in expect]
+        assert not any(r[0] in (QUOTIENT_KIND, PRODUCT_KIND) for r in rows[:-16])
+        for row, (kind, x, sigma) in zip(rows[-16:], expect):
+            want = double_sum_growth(float(x), sigma, kind).lhs
+            assert abs(float(row[2]) - want) <= 2.0 * math.ulp(want), row
+
+        # the determinism contract: one BLAS thread writes the same bytes
+        src = os.path.dirname(os.path.dirname(os.path.abspath(auxzeta.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "auxzeta.cli", "lemmas", "--config", str(cfg),
+                        "--out", str(tmp_path / "b")], env=env, check=True, timeout=300)
+        assert _read(tmp_path / "b" / "lemmas.csv") == text
 
 
 class TestVerifyAndErrors:
