@@ -37,12 +37,12 @@ class CriterionResult:
 
 def _result(number, title, passed, details, t0) -> CriterionResult:
     return CriterionResult(number, title, bool(passed), details,
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 def criterion_1() -> CriterionResult:
     """Decomposition exactness: streamed integral vs diagonal + cross parts."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details, ok = [], True
     for sigma in (-1.0, 0.0, 0.25, 0.5, 1.0, 2.0):
         for T in (TWO_PI * 100.0, TWO_PI * 400.0):
@@ -59,7 +59,7 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     """Weighted sigma=0 moment: scaled residual non-increasing, 5% at top."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = [TWO_PI * 1.0e3, TWO_PI * 4.0e3, TWO_PI * 1.0e4]
     samples = mean_value.integrate_mean(0.0, grid, weighted=True)
     scaled = []
@@ -84,7 +84,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """Critical-constant discrimination by least-squares fit."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     Ts = [TWO_PI * x for x in np.unique(np.round(np.logspace(3, 4, 25)))]
     samples = mean_value.integrate_mean(0.5, Ts, weighted=True)
     xs, ys = [], []
@@ -111,7 +111,7 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     """Unweighted sigma=2 convergence to zeta(4) at rate 10/T."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     target = math.pi**4 / 90.0
     grid = [TWO_PI * x for x in (1.0e3, 2.0e3, 4.0e3, 1.0e4)]
     samples = mean_value.integrate_mean(2.0, grid, weighted=False)
@@ -128,7 +128,7 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     """Unweighted sigma=1/2: scaled residual bounded on the grid."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = [TWO_PI * x for x in (1.0e3, 2.0e3, 3.0e3, 5.0e3, 7.0e3, 1.0e4)]
     samples = mean_value.integrate_mean(0.5, grid, weighted=False)
     details, scaled = [], []
@@ -145,7 +145,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Laplace scan ratios plus synthetic-input calibration."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details, ok = [], True
 
     # synthetic calibration isolates interpolation error
@@ -178,7 +178,7 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     """Bound-infrastructure suites on seeded random and doubling grids."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details, ok = [], True
 
     checks = bound_checks.random_osc_sweep(1000, seed=20250808)
@@ -211,7 +211,7 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Evaluator cross-validation sweep and critical-line inequality grid."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details, ok = [], True
 
     route_gap = 0.0  # shifted (production) contour vs the unshifted oracle
@@ -257,7 +257,7 @@ def criterion_9() -> CriterionResult:
     import tempfile
     from . import cli
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = RunConfig(sigma_list=(0.0,), T_grid=(TWO_PI * 100.0, TWO_PI * 400.0),
                     weighted=True)
     outputs = []

@@ -213,12 +213,12 @@ COMMANDS = {
 def run(command: str, ctx: RunContext) -> int:
     """Run one subcommand: create the output directory, write its CSV and
     its manifest with the wall time, and return its exit code."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     os.makedirs(ctx.out_dir, exist_ok=True)
     fn, header = COMMANDS[command]
     rows, n_evals, code = fn(ctx)
     _write_csv(f"{ctx.out_dir}/{command}.csv", header, rows)
-    _write_manifest(ctx, command, time.time() - t0, n_evals)
+    _write_manifest(ctx, command, time.perf_counter() - t0, n_evals)
     return code
 
 

@@ -29,15 +29,19 @@ rest of their algorithm.  :mod:`auxzeta.aux_eval` validates S pointwise.
 
 Determinism contract: the runs are a pure function of (T_max, grid), each
 is folded in ascending order over tiles fixed by (k, N), and a stream
-starts no threads; its matrix products run in BLAS, whose threads split
-rows but never the sum over n, so identical configurations give
-bit-identical samples regardless of the caller's thread budget.
+starts no threads: its small matrix products run on one OpenBLAS thread,
+as a caller's pool already fills the cores.  So identical configurations
+give bit-identical samples whatever the thread budget, also above N = 128,
+where OpenBLAS's threads re-block the sum over n and move values by ulps.
 """
 
 from __future__ import annotations
 
 import bisect
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +197,44 @@ class MomentStream:
     F: np.ndarray
 
 
+class _OneBlasThread:
+    """Holds OpenBLAS, whose thread count is process-wide, at one thread while
+    any stream is inside; the last one out restores the count the first found.
+    Without OpenBLAS's controls in numpy's own build it does nothing."""
+
+    def __init__(self):
+        self._lock, self._users, self._saved = threading.Lock(), 0, 1
+
+    @functools.cached_property
+    def controls(self):
+        """OpenBLAS's (get, set) thread-count functions, or None; looked up once."""
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(f), None) for f in ("get", "set"))
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+        return None
+
+    def __enter__(self):
+        with self._lock:
+            if self._users == 0 and self.controls:
+                self._saved = self.controls[0]()
+                self.controls[1](1)
+            self._users += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._users -= 1
+            if self._users == 0 and self.controls:
+                self.controls[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def _run_error(sigma: float, weighted: bool, lo: float, hi: float, k: int, N: int,
                F_run: float) -> float:
     """Proven error bound of a run's folded sum F_run, N >= 1 terms.
@@ -234,13 +276,14 @@ def _stream(sigma: float, T_grid: list[float], weighted: bool
     F_edges = np.zeros(len(edges))
     totals, bounds = [], []
     i = 1
-    for lo, hi, k in runs:
-        N = n_main_terms(0.5 * (lo + hi))
-        contrib = _fold_run(sigma, weighted, lo, (hi - lo) / k, k, N)
-        F_edges[i:i + k] = F_edges[i - 1] + np.cumsum(contrib)
-        i += k
-        totals.append(math.fsum(contrib.tolist()))
-        bounds.append(_run_error(sigma, weighted, lo, hi, k, N, totals[-1]) if N else 0.0)
+    with _ONE_BLAS_THREAD:
+        for lo, hi, k in runs:
+            N = n_main_terms(0.5 * (lo + hi))
+            contrib = _fold_run(sigma, weighted, lo, (hi - lo) / k, k, N)
+            F_edges[i:i + k] = F_edges[i - 1] + np.cumsum(contrib)
+            i += k
+            totals.append(math.fsum(contrib.tolist()))
+            bounds.append(_run_error(sigma, weighted, lo, hi, k, N, totals[-1]) if N else 0.0)
 
     ends = [hi for _, hi, _ in runs]
     samples = {}

@@ -1,6 +1,7 @@
 """Moment engine: closed forms, decomposition exactness, stream contracts."""
 
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -173,9 +174,9 @@ class TestIntegrateMean:
         assert all(b >= a for a, b in zip(stream.F, stream.F[1:]))
 
     def test_pool_threads_match_serial(self, monkeypatch):
-        # the kernel's matrix products run in BLAS; two streams at once from
-        # a pool must give the bits that one stream at a time gives, also
-        # when small tiles split every run into many products
+        # two streams at once from a pool must give the bits that one stream
+        # at a time gives, also when small tiles split every run into many
+        # products, and leave OpenBLAS's thread count as they found it
         grid = [TWO_PI * 400.0, TWO_PI * 1000.0]
         cases = [(0.5, True), (2.0, False)]
 
@@ -183,12 +184,14 @@ class TestIntegrateMean:
             start.wait()
             return integrate_mean(case[0], grid, case[1])
 
+        before = _blas_count()
         for chunk_terms in (mean_value._CHUNK_TERMS, 3000):
             monkeypatch.setattr(mean_value, "_CHUNK_TERMS", chunk_terms)
             serial = [integrate_mean(sigma, grid, weighted) for sigma, weighted in cases]
             start = threading.Barrier(len(cases))
             with ThreadPoolExecutor(max_workers=len(cases)) as pool:
                 assert list(pool.map(one, cases)) == serial, chunk_terms
+            assert _blas_count() == before, chunk_terms
 
     def test_budget_fails_fast(self):
         # the cross term's pair budget, checked before any panel is built
@@ -199,6 +202,127 @@ class TestIntegrateMean:
         with pytest.raises(BudgetExceededError):
             moment_stream(0.5, T, False)
         assert time.perf_counter() - t0 < 0.1
+
+
+def _blas_count():
+    """OpenBLAS's process-wide thread count, read through the stream's scope,
+    or None for a numpy build without its controls."""
+    controls = mean_value._ONE_BLAS_THREAD.controls
+    return None if controls is None else controls[0]()
+
+
+@pytest.mark.skipif(mean_value._ONE_BLAS_THREAD.controls is None,
+                    reason="numpy's build exposes no OpenBLAS thread controls")
+class TestOneBlasThread:
+    def test_count_held_and_restored(self, monkeypatch):
+        # the count reads 1 inside every fold, and the entry value again
+        # after a stream that returns and after one that raises
+        entry = _blas_count()
+        fold, seen = mean_value._fold_run, []
+
+        def counting(*args):
+            seen.append(_blas_count())
+            return fold(*args)
+
+        monkeypatch.setattr(mean_value, "_fold_run", counting)
+        integrate_mean(0.5, [TWO_PI * 100.0], True)
+        assert seen and set(seen) == {1}
+        assert _blas_count() == entry
+
+        def failing(*args):
+            seen.append(_blas_count())
+            raise RuntimeError("fold failed")
+
+        seen.clear()
+        monkeypatch.setattr(mean_value, "_fold_run", failing)
+        with pytest.raises(RuntimeError, match="fold failed"):
+            integrate_mean(0.5, [TWO_PI * 100.0], True)
+        assert seen == [1]
+        assert _blas_count() == entry
+
+    def test_no_controls_leaves_blas_alone(self, monkeypatch):
+        # a numpy build without OpenBLAS's symbols: the scope does nothing
+        # and the stream gives the same samples
+        entry = _blas_count()
+        get = mean_value._ONE_BLAS_THREAD.controls[0]
+        grid = [TWO_PI * 50.0, TWO_PI * 120.0]
+        want = integrate_mean(1.0, grid, False)
+        fold, seen = mean_value._fold_run, []
+
+        def counting(*args):
+            seen.append(get())
+            return fold(*args)
+
+        monkeypatch.setattr(mean_value._ONE_BLAS_THREAD, "controls", None)
+        monkeypatch.setattr(mean_value, "_fold_run", counting)
+        assert integrate_mean(1.0, grid, False) == want
+        assert seen and set(seen) == {entry}
+
+    def test_concurrent_streams_restore_count(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a lost
+        # update to the count of active streams would let one stream restore
+        # the entry count while another folds, or leave the count at 1 after.
+        # Hundreds of short streams a worker give the scope's entries and
+        # exits many chances to race
+        entry = _blas_count()
+        cases = [(0.5, True), (2.0, False), (0.0, True), (1.0, False)]
+        grid, short = [TWO_PI * 60.0, TWO_PI * 150.0], [TWO_PI * 2.0]
+        want = [[integrate_mean(sigma, grid, weighted)]
+                + [integrate_mean(sigma, short, weighted)] * 300 for sigma, weighted in cases]
+        results, seen = [None] * len(cases), []
+        start = threading.Barrier(len(cases), timeout=60.0)
+        fold = mean_value._fold_run
+
+        def counting(*args):
+            seen.append(_blas_count())
+            return fold(*args)
+
+        def worker(w):
+            sigma, weighted = cases[w]
+            start.wait()
+            results[w] = ([integrate_mean(sigma, grid, weighted)]
+                          + [integrate_mean(sigma, short, weighted) for _ in range(300)])
+
+        monkeypatch.setattr(mean_value, "_fold_run", counting)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            workers = [threading.Thread(target=worker, args=(w,)) for w in range(len(cases))]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == want
+        assert seen and set(seen) == {1}
+        assert _blas_count() == entry
+
+    @pytest.mark.parametrize("N", [44, 100])
+    @pytest.mark.parametrize("chunk_terms", [None, 3000])
+    def test_blas_threads_keep_the_bits(self, monkeypatch, chunk_terms, N):
+        # up to N = 128, which covers every stream the gate runs (N <= 100),
+        # BLAS threads split a product's rows, never its sum over n, so a
+        # fold gives the bits of one thread at any count.  Above,
+        # OpenBLAS 0.3.31's threads re-block that sum (at N = 129..419 panel
+        # values move by up to 7e-15, 2-core x86_64); streams fold on one thread
+        if chunk_terms is not None:
+            monkeypatch.setattr(mean_value, "_CHUNK_TERMS", chunk_terms)
+        entry = _blas_count()
+        lo, hi = TWO_PI * N * N, TWO_PI * (N + 1) ** 2
+        k = math.ceil((hi - lo) / mean_value.panel_width(hi))
+        args = (0.5, True, lo, (hi - lo) / k, k, N)
+        put = mean_value._ONE_BLAS_THREAD.controls[1]
+        put(max(2, entry))
+        try:
+            threaded = _fold_run(*args)
+        finally:
+            put(entry)
+        with mean_value._ONE_BLAS_THREAD:
+            assert _blas_count() == 1
+            single = _fold_run(*args)
+        assert np.array_equal(threaded, single)
 
 
 def _fold_node_by_node(sigma, weighted, lo, h, k):
