@@ -28,11 +28,11 @@ factoring of Odlyzko and Schonhage (Trans. AMS 309, 1988) without the
 rest of their algorithm.  :mod:`auxzeta.aux_eval` validates S pointwise.
 
 Determinism contract: the runs are a pure function of (T_max, grid), each
-is folded in ascending order over tiles fixed by (k, N), and a stream
-starts no threads: its small matrix products run on one OpenBLAS thread,
-as a caller's pool already fills the cores.  So identical configurations
-give bit-identical samples whatever the thread budget, also above N = 128,
-where OpenBLAS's threads re-block the sum over n and move values by ulps.
+is folded in ascending order over tiles fixed by (k, N), and a stream's
+matrix products run on one OpenBLAS thread (a caller's pool fills the
+cores), so identical configurations give bit-identical samples whatever
+the thread budget.  Without numpy's OpenBLAS thread controls they run at
+BLAS's own count, and above N = 128 its threads move values by ulps.
 """
 
 from __future__ import annotations
