@@ -227,8 +227,8 @@ def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
     agreed = 0
     for _ in range(_MAX_HALVINGS):
         h /= 2.0
-        k = np.arange(-math.floor(U / h), math.floor(U / h) + 1)
-        u = k[k % 2 == 1] * h
+        m = math.floor(U / h)
+        u = np.arange(-m + 1 - m % 2, m + 1, 2) * h  # the odd k in [-m, m]
         part, n = (_quad_float(s, crossing, u)[:2] if ctx is None
                    else _quad_mp(s, crossing, u, ctx))
         total += part

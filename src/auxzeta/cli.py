@@ -151,12 +151,13 @@ def cmd_laplace(ctx: RunContext) -> tuple[list[list], int, int]:
     def one(sigma):
         if not cfg.epsilon_grid:
             return []
-        rows = laplace.laplace_ratio_scan(sigma, list(cfg.epsilon_grid))
-        return [[r.sigma, r.epsilon, r.numeric, r.predicted, r.ratio,
-                 r.tail_bound] for r in rows]
+        return laplace.laplace_ratio_scan(sigma, list(cfg.epsilon_grid))
 
     groups = _pool_map(one, list(cfg.sigma_list), ctx.threads)
-    return [r for g in groups for r in g], 0, 0
+    rows = [[r.sigma, r.epsilon, r.numeric, r.predicted, r.ratio, r.tail_bound]
+            for g in groups for r in g]
+    # every row of a group carries its whole stream's count: count it once
+    return rows, sum(g[0].n_evals for g in groups if g), 0
 
 
 def cmd_lemmas(ctx: RunContext) -> tuple[list[list], int, int]:

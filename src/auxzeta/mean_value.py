@@ -162,17 +162,17 @@ def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _fold_run(sigma: float, weighted: bool, lo: float, h: float, k: int, N: int
               ) -> np.ndarray:
-    """Order-8 Gauss-Legendre contributions of the k panels of width h from
-    lo, N terms: S = block @ R a tile, R[n, 8i + m] = in-block[n, i] node[n, m]."""
+    """|S|^2 w at the 8 nodes of each of the k panels of width h from lo, N
+    terms: S = block @ R a tile, R[n, 8i + m] = in-block[n, i] node[n, m]."""
     if N == 0:
-        return np.zeros(k)
+        return np.zeros((k, 8))
     B = math.isqrt(k - 1) + 1
     n_blocks = -(-k // B)
     log_n = np.log(np.arange(1, N + 1, dtype=np.longdouble))
     block = _phases(lo + h * (0.5 + B * np.arange(n_blocks, dtype=np.longdouble)), log_n)
     node = (np.arange(1.0, N + 1.0)[:, None] ** -sigma
             * _phases(log_n, 0.5 * h * _GLX8.astype(np.longdouble)))
-    contrib = np.empty((n_blocks, B))
+    vals = np.empty((n_blocks, B, 8))
     cols = max(1, min(B, _CHUNK_TERMS // (8 * N)))
     rows = max(1, min(n_blocks, _CHUNK_TERMS // N, _CHUNK_TERMS // (8 * cols)))
     for i0 in range(0, B, cols):
@@ -181,20 +181,22 @@ def _fold_run(sigma: float, weighted: bool, lo: float, h: float, k: int, N: int
              * node[:, None, :]).reshape(N, -1)
         for j0 in range(0, n_blocks, rows):
             S = block[j0:j0 + rows] @ R
-            vals = (S.real**2 + S.imag**2).reshape(len(S), len(i), 8)
+            tile = vals[j0:j0 + rows, i0:i0 + cols]
+            tile[:] = (S.real**2 + S.imag**2).reshape(tile.shape)
             if weighted and sigma != 0.0:
                 mid = lo + h * (0.5 + B * np.arange(j0, j0 + len(S))[:, None] + i)
-                vals *= ((mid[:, :, None] + 0.5 * h * _GLX8) / TWO_PI) ** sigma
-            contrib[j0:j0 + rows, i0:i0 + cols] = vals @ (0.5 * h * _GLW8)
-    return contrib.ravel()[:k]
+                tile *= ((mid[:, :, None] + 0.5 * h * _GLX8) / TWO_PI) ** sigma
+    return vals.reshape(-1, 8)[:k]
 
 
 @dataclass(frozen=True)
 class MomentStream:
-    """Cumulative F(T) sampled at every panel edge of one streaming pass."""
+    """The measure dF of one streaming pass to t_max, run by run: a run's
+    (lo, h, dF) holds dF[p, m] = (h/2) w_m |S|^2 w at the node
+    lo + (p + 1/2) h + (h/2) x_m of its panel p, so F(T) sums dF up to T."""
 
-    t: np.ndarray
-    F: np.ndarray
+    t_max: float
+    runs: list[tuple[float, float, np.ndarray]]
 
 
 class _OneBlasThread:
@@ -258,32 +260,32 @@ def _run_error(sigma: float, weighted: bool, lo: float, hi: float, k: int, N: in
     return k * _gl8_error(hw, rho, M) + 2.0 * delta * math.sqrt(F_run * W) + delta * delta * W
 
 
-def _stream(sigma: float, T_grid: list[float], weighted: bool
-            ) -> tuple[dict, MomentStream, int]:
+def _stream(sigma: float, T_grid: list[float], weighted: bool, keep_measure: bool = False
+            ) -> tuple[dict, int, list]:
     """One deterministic streaming pass to max(T_grid).
 
-    Returns ({T: (F(T), quad_error(T))}, full edge stream, n_evals).  F(T) is
-    math.fsum of the runs' math.fsum totals up to T, and quad_error(T) adds
-    the runs' `_run_error` bounds and (runs + 1) 2u F(T) for those sums.
+    Returns ({T: (F(T), quad_error(T))}, n_evals, the runs' (lo, h, dF) if
+    keep_measure else []).  F(T) is math.fsum of the runs' math.fsum totals
+    up to T, and quad_error(T) adds the runs' `_run_error` bounds and
+    (runs + 1) 2u F(T) for those sums.
     """
     T_max = max(T_grid)
     x = math.sqrt(T_max / TWO_PI)
     if x > _PAIR_BUDGET_SQRT:
         raise BudgetExceededError(f"sqrt(T/2pi) = {x:.1f} exceeds {_PAIR_BUDGET_SQRT}")
     runs = _runs(T_max, T_grid)
-    edges = np.concatenate([lo + (hi - lo) / k * np.arange(k) for lo, hi, k in runs]
-                           + [[T_max]])
-    F_edges = np.zeros(len(edges))
-    totals, bounds = [], []
-    i = 1
+    totals, bounds, measure = [], [], []
     with _ONE_BLAS_THREAD:
         for lo, hi, k in runs:
             N = n_main_terms(0.5 * (lo + hi))
-            contrib = _fold_run(sigma, weighted, lo, (hi - lo) / k, k, N)
-            F_edges[i:i + k] = F_edges[i - 1] + np.cumsum(contrib)
-            i += k
-            totals.append(math.fsum(contrib.tolist()))
+            h = (hi - lo) / k
+            vals = _fold_run(sigma, weighted, lo, h, k, N)
+            weights = 0.5 * h * _GLW8
+            totals.append(math.fsum((vals @ weights).tolist()))
             bounds.append(_run_error(sigma, weighted, lo, hi, k, N, totals[-1]) if N else 0.0)
+            if keep_measure:
+                vals *= weights
+                measure.append((lo, h, vals))
 
     ends = [hi for _, hi, _ in runs]
     samples = {}
@@ -291,7 +293,7 @@ def _stream(sigma: float, T_grid: list[float], weighted: bool
         r = min(bisect.bisect_left(ends, T - 1e-9) + 1, len(runs))
         F_T = math.fsum(totals[:r])
         samples[T] = (F_T, math.fsum(bounds[:r]) + 2.0 * (r + 1) * _U * F_T)
-    return samples, MomentStream(edges, F_edges), 8 * (len(edges) - 1)
+    return samples, 8 * sum(k for _, _, k in runs), measure
 
 
 def integrate_mean(sigma: float, t_grid: list[float], weighted: bool
@@ -305,14 +307,14 @@ def integrate_mean(sigma: float, t_grid: list[float], weighted: bool
         raise ValueError("T grid must be strictly ascending")
     if grid[0] < TWO_PI:
         raise ValueError("T grid must start at or above 2*pi")
-    samples, _, n_evals = _stream(sigma, grid, weighted)
+    samples, n_evals, _ = _stream(sigma, grid, weighted)
     return [MeanValueSample(sigma, T, weighted, raw / T, raw, quad_err, n_evals)
             for T, (raw, quad_err) in samples.items()]
 
 
 def moment_stream(sigma: float, T_max: float, weighted: bool) -> MomentStream:
-    """Cumulative F(T) on the full panel grid up to T_max (for transforms)."""
-    return _stream(sigma, [float(T_max)], weighted)[1]
+    """The measure dF at every node of one pass up to T_max (for transforms)."""
+    return MomentStream(float(T_max), _stream(sigma, [float(T_max)], weighted, True)[2])
 
 
 def decomposition_check(sigma: float, T: float, weighted: bool) -> float:
@@ -322,6 +324,5 @@ def decomposition_check(sigma: float, T: float, weighted: bool) -> float:
     """
     diagonal = diagonal_closed_form(sigma, T, weighted)
     cross = cross_term_value(sigma, T, weighted)
-    samples, _, _ = _stream(sigma, [float(T)], weighted)
-    lhs = samples[float(T)][0]
+    lhs = _stream(sigma, [float(T)], weighted)[0][float(T)][0]
     return abs(lhs - (diagonal + cross)) / (diagonal + abs(cross))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleProximityError, RangeExceededError
+from .errors import PoleProximityError, QuadratureConvergenceError, RangeExceededError
 
 # Euler's constant, full binary64 precision (stored, not computed).
 EULER_GAMMA = 0.5772156649015329
@@ -145,8 +145,8 @@ def complex_zeta(s: complex) -> EvalResult:
     Independent oracle with documented range |Im s| <= 1e5.  For
     Re s < -1/2 the functional equation is applied (in log space, so the
     chi factor neither overflows nor loses accuracy at large |Im s|).
-    Doubling the term count must move the value by less than the reported
-    bound (or 1e-12); if not, the count is doubled until it does.
+    Terms are doubled until a doubling moves the value by at most the sum of
+    both bounds (or 1e-12), else QuadratureConvergenceError after four.
     """
     s = complex(s)
     if abs(s - 1.0) < _POLE_RADIUS:
@@ -166,16 +166,16 @@ def complex_zeta(s: complex) -> EvalResult:
         return EvalResult(value, bound, inner.terms_used)
 
     N = max(20, int(math.ceil(2.0 * abs(s.imag))))
-    v1, b1, terms1 = _euler_maclaurin_zeta(s, N)
+    v1, b1 = _euler_maclaurin_zeta(s, N)[:2]
     for _ in range(4):
         v2, b2, terms2 = _euler_maclaurin_zeta(s, 2 * N)
         moved = abs(v2 - v1)
-        if moved <= max(b1, 1.0e-12):
+        if moved <= max(b1 + b2, 1.0e-12):
             bound = max(b2, moved, 1e-16 * abs(v2))
             return EvalResult(v2, bound, terms2)
         N *= 2
-        v1, b1, terms1 = v2, b2, terms2
-    return EvalResult(v1, b1, terms1)
+        v1, b1 = v2, b2
+    raise QuadratureConvergenceError(f"zeta({s}) still moves {moved:.1e} after four doublings")
 
 
 def _log_sin_half_pi_s(s: complex) -> complex:

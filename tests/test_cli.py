@@ -197,6 +197,15 @@ class TestLaplaceCmd:
         assert lines[0] == "sigma,epsilon,numeric,predicted,ratio,tail_bound"
         assert len(lines) == 2
 
+    def test_manifest_counts_each_stream_once(self, tmp_path):
+        # one stream per sigma serves its whole eps grid: to T_max = 60/0.05
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, "sigma_list = -1, 0\nepsilon_grid = 0.05, 0.04\n")
+        assert main(["laplace", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        n = json.loads(_read(tmp_path / "laplace_manifest.json"))["n_evals"]
+        streams = [integrate_mean(sigma, [1200.0], True)[0].n_evals for sigma in (-1.0, 0.0)]
+        assert n == sum(streams) > 0
+
 
 class TestLemmasCmd:
     def test_schema_and_ratios(self, tmp_path):

@@ -2,42 +2,75 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from auxzeta.aux_eval import n_main_terms
 from auxzeta.errors import CoverageError
 from auxzeta.laplace import (DEFAULT_EPS_TMAX, LaplaceScanRow, MomentStream,
                              laplace_numeric, laplace_ratio_scan,
                              laplace_tail_bound, power_law_stream)
+from auxzeta.mean_value import moment_stream
 from auxzeta.predictors import exp_poly_integral
+
+
+def _split_transform(sigma, weighted, eps, T):
+    """int_1^T e^{-eps t} dF from the exact diagonal + cross split at 30
+    digits: w = 1 in closed form, w = 2pi/t (weighted sigma = -1) by E1."""
+    with mpmath.workdps(30):
+        two_pi, T = 2 * mpmath.pi, mpmath.mpf(T)
+
+        def window(z, a):  # int_a^T w e^{-z t} dt
+            if weighted and sigma == -1.0:
+                return two_pi * (mpmath.e1(z * a) - mpmath.e1(z * T))
+            return (mpmath.exp(-z * a) - mpmath.exp(-z * T)) / z
+
+        total = mpmath.mpf(0)
+        for n in range(1, n_main_terms(float(T)) + 1):
+            a = two_pi * n * n
+            total += mpmath.mpf(n) ** (-2 * sigma) * window(mpmath.mpf(eps), a)
+            for m in range(1, n):
+                z = eps - 1j * mpmath.log(mpmath.mpf(n) / m)
+                total += 2 * (mpmath.mpf(n * m)) ** -sigma * mpmath.re(window(z, a))
+        return float(total)
 
 
 class TestLaplaceNumeric:
     def test_zero_stream(self):
-        t = np.linspace(1.0, 900.0, 5000)
-        stream = MomentStream(t, np.zeros_like(t))
+        stream = MomentStream(900.0, [(1.0, 0.5, np.zeros((1798, 8)))])
         assert laplace_numeric(0.05, stream) == 0.0
 
     @pytest.mark.parametrize("power", [1.0, 1.5, 2.0])
     def test_power_law_calibration(self, power):
+        # int_1^inf e^{-eps t} d(t^a) = eps int_1^inf t^a e^{-eps t} dt - e^{-eps}
         eps = 0.05
         stream = power_law_stream(power, DEFAULT_EPS_TMAX / eps)
         got = laplace_numeric(eps, stream)
-        want = eps * exp_poly_integral(power, eps)
-        assert abs(got - want) / want <= 1e-6
+        want = eps * exp_poly_integral(power, eps) - math.exp(-eps)
+        assert abs(got - want) / want <= 1e-13
 
     def test_calibration_second_epsilon(self):
         eps = 0.02
         stream = power_law_stream(1.5, DEFAULT_EPS_TMAX / eps)
         got = laplace_numeric(eps, stream)
-        want = eps * exp_poly_integral(1.5, eps)
-        assert abs(got - want) / want <= 1e-6
+        want = eps * exp_poly_integral(1.5, eps) - math.exp(-eps)
+        assert abs(got - want) / want <= 1e-13
 
     def test_coverage_guard(self):
-        t = np.linspace(1.0, 100.0, 500)
-        stream = MomentStream(t, t**1.5)
+        stream = power_law_stream(1.5, 100.0)
         with pytest.raises(CoverageError):
             laplace_numeric(0.05, stream)  # eps * T_max = 5 < 40
+
+    @pytest.mark.parametrize("sigma,weighted", [(0.0, False), (0.5, False), (-1.0, True)])
+    def test_matches_exact_split(self, sigma, weighted):
+        # the moments benchmark's stream reach, T = 42 / 0.01; summing the
+        # stream's own nodes leaves only roundoff against the split
+        stream = moment_stream(sigma, 4200.0, weighted)
+        for eps in (0.05, 0.02, 0.01):
+            want = _split_transform(sigma, weighted, eps, 4200.0)
+            got = laplace_numeric(eps, stream)
+            assert abs(got - want) <= 1e-12 * want, (eps, got, want)
 
 
 class TestTailBound:

@@ -7,7 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from auxzeta.errors import PoleProximityError, RangeExceededError
+from auxzeta import special_functions
+from auxzeta.errors import (PoleProximityError, QuadratureConvergenceError,
+                            RangeExceededError)
 from auxzeta.special_functions import (EULER_GAMMA, EvalResult,
                                        _euler_maclaurin_zeta, complex_zeta,
                                        gamma_real, log_gamma, real_zeta,
@@ -66,14 +68,24 @@ class TestComplexZeta:
     def test_error_bound_contract(self):
         # the reported bound covers the error against 30-digit mpmath; at
         # large t that needs the phases t log n reduced modulo an
-        # extended-precision 2pi (the binary64 one is 2.45e-16 short a turn)
+        # extended-precision 2pi (the binary64 one is 2.45e-16 short a turn),
+        # and a doubling of the terms is accepted when it moves the value by
+        # no more than the two bounds together: a test against the coarser
+        # bound alone kept doubling at -0.4 + 200i until roundoff broke it
         with mpmath.workdps(30):
-            for sigma in (0.5, 2.0):
-                for t in (200.0, 1.0e4, 1.0e5):
+            for sigma in (-0.45, -0.4, -0.2, 0.0, 0.5, 2.0):
+                for t in (13.0, 50.0, 200.0, 300.0, 1.0e3, 1.0e4, 1.0e5):
                     r = complex_zeta(complex(sigma, t))
-                    want = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
-                    assert abs(r.value - want) <= r.abs_error_bound, (sigma, t)
+                    want = mpmath.zeta(mpmath.mpc(sigma, t))
+                    assert abs(mpmath.mpc(r.value) - want) <= r.abs_error_bound, (sigma, t)
         assert complex_zeta(complex(0.5, 150.0)).abs_error_bound <= 1e-10
+
+    def test_refinement_that_never_settles_raises(self, monkeypatch):
+        def moving(s, N):
+            return complex(N, 0.0), 1e-15, N
+        monkeypatch.setattr(special_functions, "_euler_maclaurin_zeta", moving)
+        with pytest.raises(QuadratureConvergenceError):
+            complex_zeta(complex(0.5, 30.0))
 
     def test_reflection_against_mpmath(self):
         # Re s < -1/2 goes through chi(s): its log sin(pi s/2) must keep the
