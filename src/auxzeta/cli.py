@@ -6,10 +6,12 @@ verification fails, 1 on operational errors.  Floats are serialized with
 repr, the shortest decimal that round-trips binary64, so re-parsing and
 re-emitting a file reproduces it byte for byte.
 
-Work is distributed over a thread pool per grid row, but rows are always
-emitted in configuration order and every CSV, manifest and cache append
-is written by the main thread, so the thread budget never changes their
-bytes.  One runner (`run`) serves every command in the `COMMANDS` table.
+`eval` spreads its grid points over a thread pool; `meanvalue` and
+`laplace` run one stream per sigma in turn, each on the whole thread
+budget.  Rows are always emitted in configuration order and every CSV,
+manifest and cache append is written by the main thread, so the thread
+budget never changes their bytes.  One runner (`run`) serves every
+command in the `COMMANDS` table.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -74,6 +77,7 @@ def _write_manifest(ctx: RunContext, command: str, wall: float,
             "auxzeta": __version__,
         },
         "wall_time_s": wall,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "n_evals": n_evals,
     }
     with open(f"{ctx.out_dir}/{command}_manifest.json", "w", encoding="utf-8") as fh:
@@ -123,11 +127,10 @@ def cmd_meanvalue(ctx: RunContext) -> tuple[list[list], int, int]:
     predict = predictors.predict_weighted if cfg.weighted \
         else predictors.predict_unweighted
 
-    def one(sigma):
-        if not cfg.T_grid:
-            return []
-        samples = mean_value.integrate_mean(sigma, list(cfg.T_grid), cfg.weighted)
-        out = []
+    rows, n_evals = [], 0
+    for sigma in cfg.sigma_list if cfg.T_grid else []:  # one stream at a time
+        samples = mean_value.integrate_mean(sigma, list(cfg.T_grid), cfg.weighted, ctx.threads)
+        n_evals += samples[0].n_evals  # each sample carries its whole stream's count
         for s in samples:
             pred = predict(sigma, s.T)
             main = pred.evaluate(s.T)
@@ -135,29 +138,21 @@ def cmd_meanvalue(ctx: RunContext) -> tuple[list[list], int, int]:
             scale = s.T ** pred.error_exponent
             if pred.log_factor_in_error:
                 scale *= math.sqrt(math.log(s.T))
-            out.append([s.sigma, s.T, s.weighted, s.value, main, resid,
-                        resid / scale, s.quad_error, s.n_evals])
-        return out
-
-    groups = _pool_map(one, list(cfg.sigma_list), ctx.threads)
-    # every row of a group carries its whole stream's count: count it once
-    return [r for g in groups for r in g], sum(g[0][8] for g in groups if g), 0
+            rows.append([s.sigma, s.T, s.weighted, s.value, main, resid,
+                         resid / scale, s.quad_error, s.n_evals])
+    return rows, n_evals, 0
 
 
 def cmd_laplace(ctx: RunContext) -> tuple[list[list], int, int]:
     """Transform-ratio scans per sigma over the configured epsilon grid."""
     cfg = ctx.config
-
-    def one(sigma):
-        if not cfg.epsilon_grid:
-            return []
-        return laplace.laplace_ratio_scan(sigma, list(cfg.epsilon_grid))
-
-    groups = _pool_map(one, list(cfg.sigma_list), ctx.threads)
-    rows = [[r.sigma, r.epsilon, r.numeric, r.predicted, r.ratio, r.tail_bound]
-            for g in groups for r in g]
-    # every row of a group carries its whole stream's count: count it once
-    return rows, sum(g[0].n_evals for g in groups if g), 0
+    rows, n_evals = [], 0
+    for sigma in cfg.sigma_list if cfg.epsilon_grid else []:  # one stream at a time
+        scan = laplace.laplace_ratio_scan(sigma, list(cfg.epsilon_grid), ctx.threads)
+        n_evals += scan[0].n_evals  # each row carries its whole stream's count
+        rows += [[r.sigma, r.epsilon, r.numeric, r.predicted, r.ratio, r.tail_bound]
+                 for r in scan]
+    return rows, n_evals, 0
 
 
 def cmd_lemmas(ctx: RunContext) -> tuple[list[list], int, int]:
@@ -236,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads, at least 1 (default: 1)")
+                   help="thread budget, at least 1 (default: 1): eval's pool "
+                        "over grid points, or each moment stream's own workers")
     p.add_argument("--cache", default=None,
                    help="eval only: evaluation cache file")
     p.add_argument("--criteria", default=None,

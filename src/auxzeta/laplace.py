@@ -89,13 +89,14 @@ def laplace_tail_bound(sigma: float, epsilon: float, t_max: float) -> float:
     return epsilon * coef * incomplete
 
 
-def laplace_ratio_scan(sigma: float, epsilon_grid: list[float]) -> list[LaplaceScanRow]:
+def laplace_ratio_scan(sigma: float, epsilon_grid: list[float], threads: int = 1
+                       ) -> list[LaplaceScanRow]:
     """Rows (numeric, predicted, ratio, tail bound) over a descending eps grid.
 
-    One moment stream serves every epsilon.  Its reach is sized so that the
-    smallest epsilon gets eps*T_max >= 42 and the largest at least 60 (far
-    from the asymptotic regime the transform itself is small, so the bigger
-    margin keeps the tail below 1e-15 of it, which is asserted per row).
+    One moment stream on `threads` threads serves every epsilon.  Its reach
+    is sized so that the smallest epsilon gets eps*T_max >= 42 and the largest
+    at least 60 (far from the asymptotic regime the transform itself is small,
+    so the bigger margin keeps the tail below 1e-15 of it, asserted per row).
     """
     if sigma >= 0.5:
         raise ValueError("scan requires sigma < 1/2")
@@ -103,7 +104,7 @@ def laplace_ratio_scan(sigma: float, epsilon_grid: list[float]) -> list[LaplaceS
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon grid must be strictly descending")
     t_need = max(DEFAULT_EPS_TMAX / min(eps_list), 60.0 / max(eps_list))
-    stream = moment_stream(sigma, t_need, weighted=True)
+    stream = moment_stream(sigma, t_need, True, threads)
     n_evals = sum(dF.size for _, _, dF in stream.runs)
     rows = []
     for eps in eps_list:

@@ -27,12 +27,12 @@ in-block times node factors, instead of 8 k N exponentials: the phase
 factoring of Odlyzko and Schonhage (Trans. AMS 309, 1988) without the
 rest of their algorithm.  :mod:`auxzeta.aux_eval` validates S pointwise.
 
-Determinism contract: the runs are a pure function of (T_max, grid), each
-is folded in ascending order over tiles fixed by (k, N), and a stream's
-matrix products run on one OpenBLAS thread (a caller's pool fills the
-cores), so identical configurations give bit-identical samples whatever
-the thread budget.  Without numpy's OpenBLAS thread controls they run at
-BLAS's own count, and above N = 128 its threads move values by ulps.
+Determinism contract: the runs are a pure function of (T_max, grid); each
+is folded over tiles fixed by (k, N), on one OpenBLAS thread, and kept by
+run, whichever of the stream's workers folds it (that too is fixed by (N,
+k)), so identical configurations give bit-identical samples whatever the
+thread budget.  Without numpy's OpenBLAS thread controls the products run
+at BLAS's own count, and above N = 128 its threads move values by ulps.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import ctypes
 import functools
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,9 @@ _PAIR_BUDGET_SQRT = 1500.0
 # complex values in each operand and the output of one tile's matrix
 # product (4 MiB of complex128), so memory does not grow with a run's length
 _CHUNK_TERMS = 1 << 18
+# node-terms 8 k N from which a stream with threads > 1 folds a run on a worker:
+# on 2 cores a second worker saves more wall than it adds CPU time from N ~ 65
+_SPLIT_TERMS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -160,32 +164,48 @@ def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.mod(np.outer(a, b), TWO_PI_LONG).astype(np.float64))
 
 
-def _fold_run(sigma: float, weighted: bool, lo: float, h: float, k: int, N: int
-              ) -> np.ndarray:
+def _take(ws: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """Buffer `name` of a fold workspace, grown on demand, reused over tiles and runs."""
+    size = math.prod(shape)
+    if name not in ws or ws[name].size < size:
+        ws[name] = np.empty(size, dtype)
+    return ws[name][:size].reshape(shape)
+
+
+def _fold_run(sigma: float, weighted: bool, lo: float, h: float, k: int, N: int,
+              ws: dict | None = None) -> np.ndarray:
     """|S|^2 w at the 8 nodes of each of the k panels of width h from lo, N
-    terms: S = block @ R a tile, R[n, 8i + m] = in-block[n, i] node[n, m]."""
+    terms: S = block @ R a tile, R[n, 8i + m] = in-block[n, i] node[n, m].
+    The result is a view of workspace `ws` (a fresh one if None)."""
     if N == 0:
         return np.zeros((k, 8))
+    ws = {} if ws is None else ws
     B = math.isqrt(k - 1) + 1
     n_blocks = -(-k // B)
     log_n = np.log(np.arange(1, N + 1, dtype=np.longdouble))
     block = _phases(lo + h * (0.5 + B * np.arange(n_blocks, dtype=np.longdouble)), log_n)
     node = (np.arange(1.0, N + 1.0)[:, None] ** -sigma
             * _phases(log_n, 0.5 * h * _GLX8.astype(np.longdouble)))
-    vals = np.empty((n_blocks, B, 8))
+    vals = _take(ws, "vals", (n_blocks, B, 8))
     cols = max(1, min(B, _CHUNK_TERMS // (8 * N)))
     rows = max(1, min(n_blocks, _CHUNK_TERMS // N, _CHUNK_TERMS // (8 * cols)))
     for i0 in range(0, B, cols):
         i = np.arange(i0, min(i0 + cols, B))
-        R = (_phases(log_n, h * i.astype(np.longdouble))[:, :, None]
-             * node[:, None, :]).reshape(N, -1)
+        in_block = _phases(log_n, h * i.astype(np.longdouble))
+        R = np.multiply(in_block[:, :, None], node[:, None, :],
+                        out=_take(ws, "R", (N, len(i), 8), complex)).reshape(N, -1)
         for j0 in range(0, n_blocks, rows):
-            S = block[j0:j0 + rows] @ R
-            tile = vals[j0:j0 + rows, i0:i0 + cols]
-            tile[:] = (S.real**2 + S.imag**2).reshape(tile.shape)
+            blk = block[j0:j0 + rows]
+            S = np.matmul(blk, R, out=_take(ws, "S", (len(blk), R.shape[1]), complex))
+            tile = vals[j0:j0 + len(S), i0:i0 + len(i)]
+            np.square(S.real.reshape(tile.shape), out=tile)
+            tile += np.square(S.imag.reshape(tile.shape), out=_take(ws, "w", tile.shape))
             if weighted and sigma != 0.0:
                 mid = lo + h * (0.5 + B * np.arange(j0, j0 + len(S))[:, None] + i)
-                tile *= ((mid[:, :, None] + 0.5 * h * _GLX8) / TWO_PI) ** sigma
+                w = np.add(mid[:, :, None], 0.5 * h * _GLX8, out=_take(ws, "w", tile.shape))
+                w /= TWO_PI
+                w **= sigma
+                tile *= w
     return vals.reshape(-1, 8)[:k]
 
 
@@ -260,8 +280,8 @@ def _run_error(sigma: float, weighted: bool, lo: float, hi: float, k: int, N: in
     return k * _gl8_error(hw, rho, M) + 2.0 * delta * math.sqrt(F_run * W) + delta * delta * W
 
 
-def _stream(sigma: float, T_grid: list[float], weighted: bool, keep_measure: bool = False
-            ) -> tuple[dict, int, list]:
+def _stream(sigma: float, T_grid: list[float], weighted: bool, keep_measure: bool = False,
+            threads: int = 1) -> tuple[dict, int, list]:
     """One deterministic streaming pass to max(T_grid).
 
     Returns ({T: (F(T), quad_error(T))}, n_evals, the runs' (lo, h, dF) if
@@ -273,33 +293,40 @@ def _stream(sigma: float, T_grid: list[float], weighted: bool, keep_measure: boo
     x = math.sqrt(T_max / TWO_PI)
     if x > _PAIR_BUDGET_SQRT:
         raise BudgetExceededError(f"sqrt(T/2pi) = {x:.1f} exceeds {_PAIR_BUDGET_SQRT}")
-    runs = _runs(T_max, T_grid)
-    totals, bounds, measure = [], [], []
-    with _ONE_BLAS_THREAD:
-        for lo, hi, k in runs:
-            N = n_main_terms(0.5 * (lo + hi))
-            h = (hi - lo) / k
-            vals = _fold_run(sigma, weighted, lo, h, k, N)
-            weights = 0.5 * h * _GLW8
-            totals.append(math.fsum((vals @ weights).tolist()))
-            bounds.append(_run_error(sigma, weighted, lo, hi, k, N, totals[-1]) if N else 0.0)
-            if keep_measure:
-                vals *= weights
-                measure.append((lo, h, vals))
+    runs = [(lo, hi, k, n_main_terms(0.5 * (lo + hi))) for lo, hi, k in _runs(T_max, T_grid)]
+    spaces = {}  # thread id -> that thread's fold workspace
 
-    ends = [hi for _, hi, _ in runs]
+    def fold(run):
+        lo, hi, k, N = run
+        h = (hi - lo) / k
+        ws = spaces.setdefault(threading.get_ident(), {})
+        vals = _fold_run(sigma, weighted, lo, h, k, N, ws)
+        weights = 0.5 * h * _GLW8
+        total = math.fsum((vals @ weights).tolist())
+        bound = _run_error(sigma, weighted, lo, hi, k, N, total) if N else 0.0
+        return total, bound, (lo, h, vals * weights) if keep_measure else None
+
+    with _ONE_BLAS_THREAD:
+        folded = {r: fold(r) for r in runs if threads <= 1 or 8 * r[2] * r[3] < _SPLIT_TERMS}
+        large = [r for r in runs if r not in folded]
+        if large:
+            with ThreadPoolExecutor(threads) as pool:
+                folded.update(zip(large, pool.map(fold, large)))
+    totals, bounds, measure = zip(*(folded[r] for r in runs))
+
+    ends = [hi for _, hi, _, _ in runs]
     samples = {}
     for T in T_grid:
         r = min(bisect.bisect_left(ends, T - 1e-9) + 1, len(runs))
         F_T = math.fsum(totals[:r])
         samples[T] = (F_T, math.fsum(bounds[:r]) + 2.0 * (r + 1) * _U * F_T)
-    return samples, 8 * sum(k for _, _, k in runs), measure
+    return samples, 8 * sum(k for _, _, k, _ in runs), list(measure) if keep_measure else []
 
 
-def integrate_mean(sigma: float, t_grid: list[float], weighted: bool
+def integrate_mean(sigma: float, t_grid: list[float], weighted: bool, threads: int = 1
                    ) -> list[MeanValueSample]:
     """Streaming moment values at each requested T (sorted ascending, >= 2pi);
-    one pass serves the whole grid."""
+    one pass serves the whole grid, on up to `threads` threads."""
     if len(t_grid) == 0:
         return []
     grid = [float(T) for T in t_grid]
@@ -307,14 +334,15 @@ def integrate_mean(sigma: float, t_grid: list[float], weighted: bool
         raise ValueError("T grid must be strictly ascending")
     if grid[0] < TWO_PI:
         raise ValueError("T grid must start at or above 2*pi")
-    samples, n_evals, _ = _stream(sigma, grid, weighted)
+    samples, n_evals, _ = _stream(sigma, grid, weighted, threads=threads)
     return [MeanValueSample(sigma, T, weighted, raw / T, raw, quad_err, n_evals)
             for T, (raw, quad_err) in samples.items()]
 
 
-def moment_stream(sigma: float, T_max: float, weighted: bool) -> MomentStream:
+def moment_stream(sigma: float, T_max: float, weighted: bool, threads: int = 1
+                  ) -> MomentStream:
     """The measure dF at every node of one pass up to T_max (for transforms)."""
-    return MomentStream(float(T_max), _stream(sigma, [float(T_max)], weighted, True)[2])
+    return MomentStream(float(T_max), _stream(sigma, [float(T_max)], weighted, True, threads)[2])
 
 
 def decomposition_check(sigma: float, T: float, weighted: bool) -> float:

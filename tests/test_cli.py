@@ -187,6 +187,18 @@ class TestMeanValue:
         assert main_term == pytest.approx((2.0 / 3.0) * 10.0, rel=1e-12)
         assert residual == pytest.approx(value - main_term, abs=1e-15)
 
+    def test_thread_budget_keeps_csv_bytes(self, tmp_path):
+        # to 2pi 2e4 each stream folds its large runs on the thread budget's
+        # workers, one sigma after the other: the bytes do not move
+        grid = [TWO_PI * x for x in (500.0, 1.0e4, 2.0e4)]
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, f"sigma_list = 0, 0.5\nT_grid = {', '.join(map(repr, grid))}\n"
+                    "weighted = true\n")
+        for threads in ("1", "2"):
+            assert main(["meanvalue", "--config", str(cfg), "--out", str(tmp_path / threads),
+                         "--threads", threads]) == 0
+        assert _read(tmp_path / "1" / "meanvalue.csv") == _read(tmp_path / "2" / "meanvalue.csv")
+
 
 class TestLaplaceCmd:
     def test_rows(self, tmp_path):
@@ -271,6 +283,19 @@ class TestVerifyAndErrors:
         assert len(lines) == 2 and lines[1].startswith("6,")
         report = _read(tmp_path / "verify_report.txt").decode()
         assert report.count("criterion 6 [PASS]") == 1
+
+    def test_every_manifest_records_peak_rss(self, tmp_path):
+        configs = {"eval": "sigma_list = 0\nt_grid = 30\n",
+                   "meanvalue": "sigma_list = 0\nT_grid = 100\n",
+                   "laplace": "sigma_list = 0\nepsilon_grid = 0.05\n",
+                   "lemmas": "sigma_list = 0.5\n", "verify": ""}
+        for command, text in configs.items():
+            cfg = tmp_path / f"{command}.cfg"
+            _write(cfg, text)
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
+            assert main(argv + (["--criteria", "1"] if command == "verify" else [])) == 0
+            manifest = json.loads(_read(tmp_path / f"{command}_manifest.json"))
+            assert manifest["peak_rss_mb"] > 0.0, command
 
     def test_criteria_outside_verify_is_error(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path), "--criteria", "3"]) == 1

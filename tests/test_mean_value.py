@@ -1,6 +1,9 @@
 """Moment engine: closed forms, decomposition exactness, stream contracts."""
 
 import math
+import os
+import resource
+import subprocess
 import sys
 import threading
 import time
@@ -14,6 +17,7 @@ from auxzeta import mean_value
 from auxzeta.aux_eval import TWO_PI_LONG, n_main_terms
 from auxzeta.bound_checks import _GLW8, _GLX8, osc_integral
 from auxzeta.errors import BudgetExceededError
+from auxzeta.laplace import laplace_numeric
 from auxzeta.mean_value import (_fold_run, _runs, cross_term_value,
                                 decomposition_check, diagonal_closed_form,
                                 integrate_mean, moment_stream)
@@ -199,6 +203,40 @@ class TestIntegrateMean:
                 assert list(pool.map(one, cases)) == serial, chunk_terms
             assert _blas_count() == before, chunk_terms
 
+    def test_thread_budget_keeps_the_bits(self, monkeypatch):
+        # to 2pi 2e4 (N <= 141) the runs from N ~ 65 are large enough to fold
+        # on the stream's workers: every sample is bit-equal at 1, 2 and 3
+        # threads, and a stream with no large run starts no thread
+        grid = [TWO_PI * 3.3, TWO_PI * 2000.0, TWO_PI * 1.0e4, TWO_PI * 2.0e4]
+        fold, folders = mean_value._fold_run, set()
+
+        def recording(*args):
+            folders.add(threading.get_ident())
+            return fold(*args)
+
+        monkeypatch.setattr(mean_value, "_fold_run", recording)
+        want = integrate_mean(0.5, grid, True, threads=1)
+        assert folders == {threading.get_ident()}
+        for threads in (2, 3):
+            folders.clear()
+            assert integrate_mean(0.5, grid, True, threads=threads) == want, threads
+            assert len(folders) > 1, threads
+        folders.clear()
+        integrate_mean(0.5, grid[:2], True, threads=2)
+        assert folders == {threading.get_ident()}
+
+    def test_kept_measure_is_not_a_workspace_view(self):
+        # each run's dF owns its data, so a later stream, which folds into
+        # fresh workspaces of its own, moves no bit of an earlier measure
+        first = moment_stream(0.0, TWO_PI * 1.0e4, weighted=True, threads=2)
+        kept = [dF.copy() for _, _, dF in first.runs]
+        transforms = [laplace_numeric(eps, first) for eps in (0.05, 0.01)]
+        assert all(dF.flags.owndata for _, _, dF in first.runs)
+        moment_stream(-1.0, TWO_PI * 1.0e4, weighted=True, threads=2)
+        integrate_mean(0.5, [TWO_PI * 2000.0], True)
+        assert all(np.array_equal(dF, k) for (_, _, dF), k in zip(first.runs, kept))
+        assert [laplace_numeric(eps, first) for eps in (0.05, 0.01)] == transforms
+
     def test_budget_fails_fast(self):
         # the cross term's pair budget, checked before any panel is built
         T = TWO_PI * 1501.0**2
@@ -382,6 +420,42 @@ class TestFoldRun:
         got = _fold_run(sigma, weighted, lo, h, 1024, 1499)[:64]
         want = _fold_node_by_node(sigma, weighted, lo, h, 64)
         _assert_nodes_and_panels(got, want, 1e-10, (lo, hi, 64))
+
+    def test_workspace_reuse_is_bit_equal(self):
+        # one workspace over runs of several sizes gives each run the bits
+        # of a fold on fresh buffers
+        ws = {}
+        for N in (60, 5, 43, 60):
+            lo, hi = TWO_PI * N * N, TWO_PI * (N + 1) ** 2
+            k = math.ceil((hi - lo) / mean_value.panel_width(hi))
+            args = (0.5, True, lo, (hi - lo) / k, k, N)
+            assert np.array_equal(_fold_run(*args, ws), _fold_run(*args)), N
+
+    @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"),
+                        reason="no per-thread resource usage on this platform")
+    def test_second_fold_maps_few_pages(self):
+        # the second fold of a run on one workspace faults in a small share of
+        # the pages of the first, which maps the buffers.  In a fresh
+        # interpreter, so that free heap left by other tests cannot hide them
+        script = (
+            "import math, resource\n"
+            "from auxzeta import mean_value as mv\n"
+            "N = 60\n"
+            "lo, hi = 2 * math.pi * N * N, 2 * math.pi * (N + 1) ** 2\n"
+            "k = math.ceil((hi - lo) / mv.panel_width(hi))\n"
+            "ws, faults = {}, []\n"
+            "with mv._ONE_BLAS_THREAD:\n"
+            "    for _ in range(2):\n"
+            "        f0 = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt\n"
+            "        mv._fold_run(0.5, True, lo, (hi - lo) / k, k, N, ws)\n"
+            "        faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - f0)\n"
+            "print(*faults)\n")
+        src = os.path.dirname(os.path.dirname(mean_value.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120, check=True).stdout
+        first, second = map(int, out.split())
+        assert first >= 100 and 4 * second <= first, (first, second)
 
     def test_peak_memory(self):
         # tiles bound the kernel's memory at N = 1499 whatever the run's length
