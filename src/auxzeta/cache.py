@@ -64,7 +64,7 @@ class EvalCache:
     def __init__(self, path: str | None = None):
         self.path = path
         self._records: dict[tuple[str, str], AuxEval] = {}
-        self._lock = threading.Lock()  # workers look up concurrently
+        self._lock = threading.Lock()  # an instance may be shared between threads
         self._torn_at: int | None = None  # length to cut the file back to
         if path is not None:
             data = b""

@@ -6,12 +6,12 @@ verification fails, 1 on operational errors.  Floats are serialized with
 repr, the shortest decimal that round-trips binary64, so re-parsing and
 re-emitting a file reproduces it byte for byte.
 
-`eval` spreads its grid points over a thread pool; `meanvalue` and
+`eval` evaluates its grid points in grid order; `meanvalue` and
 `laplace` run one stream per sigma in turn, each on the whole thread
-budget.  Rows are always emitted in configuration order and every CSV,
-manifest and cache append is written by the main thread, so the thread
-budget never changes their bytes.  One runner (`run`) serves every
-command in the `COMMANDS` table.
+budget, the one consumer of `--threads`.  Rows are always emitted in
+configuration order and every CSV, manifest and cache append is written by
+the main thread, so the thread budget never changes their bytes.  One
+runner (`run`) serves every command in the `COMMANDS` table.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import os
 import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,15 +84,6 @@ def _write_manifest(ctx: RunContext, command: str, wall: float,
         fh.write("\n")
 
 
-def _pool_map(fn, items, threads: int):
-    """Map preserving input order; results land by index, so completion
-    order never leaks into any output."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns (CSV rows, evaluation count, exit code)
 # ---------------------------------------------------------------------------
@@ -108,11 +98,11 @@ def cmd_eval(ctx: RunContext) -> tuple[list[list], int, int]:
         hit = cache.lookup(s) if cache is not None else None
         return hit if hit is not None else eval_aux(s)
 
-    results = _pool_map(one, points, ctx.threads)
+    results = [one(s) for s in points]
     if cache is not None:
-        # a hit did no work, a miss always did: store the misses from this
-        # thread in grid order, so the file's line order does not depend on
-        # which worker finished first
+        # a hit did no work, a miss always did: store the misses once every
+        # point is looked up, so a point named twice in the grid is
+        # evaluated, not served, both times
         for r in results:
             if r.n_evals:
                 cache.insert(r)
@@ -231,8 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="thread budget, at least 1 (default: 1): eval's pool "
-                        "over grid points, or each moment stream's own workers")
+                   help="thread budget, at least 1 (default: 1): each moment "
+                        "stream's own workers in meanvalue and laplace; eval "
+                        "accepts it and runs on one thread")
     p.add_argument("--cache", default=None,
                    help="eval only: evaluation cache file")
     p.add_argument("--criteria", default=None,

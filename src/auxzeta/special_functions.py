@@ -1,10 +1,11 @@
 """Self-contained special functions: zeta, log-gamma, Riemann-Siegel theta.
 
 Everything here is binary64 with explicit error accounting.  The zeta
-evaluators use Euler-Maclaurin summation (with reflection for negative
-real part), log-gamma uses a shifted Stirling series, and each public
-entry point returns an :class:`EvalResult` carrying a concrete absolute
-error bound alongside the value.
+evaluators use Euler-Maclaurin summation for Re s >= -1/2, log-gamma uses
+a shifted Stirling series for Re z > 0, and each public entry point
+returns an :class:`EvalResult` carrying a concrete absolute error bound
+alongside the value.  Outside its range an evaluator raises
+RangeExceededError; none of them applies a reflection formula.
 
 These routines serve as independent oracles for the contour evaluator
 and the mean-value engine, so they deliberately share no code with
@@ -124,8 +125,6 @@ def _euler_maclaurin_zeta(s: complex, n_terms: int) -> tuple[complex, float, int
     # First omitted term bounds the truncation error (valid for
     # Re s > -(2K+1)); factor |s+2K+1|/(sigma+2K+1) per the standard bound.
     sigma = s.real
-    if sigma + 2 * K + 1 <= 0:
-        raise RangeExceededError(f"Re s = {sigma} below Euler-Maclaurin validity")
     rising_full = rising * (s + (2 * K - 1)) * (s + (2 * K))
     fact_next = fact * (2 * K + 1) * (2 * K + 2)
     omitted = abs(_BERNOULLI_2K[K] / fact_next * rising_full) * N ** (-sigma - 2 * K - 1)
@@ -140,11 +139,9 @@ def _euler_maclaurin_zeta(s: complex, n_terms: int) -> tuple[complex, float, int
 
 
 def complex_zeta(s: complex) -> EvalResult:
-    """Riemann zeta on the complex plane by Euler-Maclaurin summation.
+    """Riemann zeta by Euler-Maclaurin summation, for Re s >= -1/2 and
+    |Im s| <= 1e5; RangeExceededError outside that range.
 
-    Independent oracle with documented range |Im s| <= 1e5.  For
-    Re s < -1/2 the functional equation is applied (in log space, so the
-    chi factor neither overflows nor loses accuracy at large |Im s|).
     Terms are doubled until a doubling moves the value by at most the sum of
     both bounds (or 1e-12), else QuadratureConvergenceError after four.
     """
@@ -153,17 +150,8 @@ def complex_zeta(s: complex) -> EvalResult:
         raise PoleProximityError(f"s = {s} within {_POLE_RADIUS} of the pole at 1")
     if abs(s.imag) > _IM_RANGE_LIMIT:
         raise RangeExceededError(f"|Im s| = {abs(s.imag)} exceeds {_IM_RANGE_LIMIT}")
-
     if s.real < -0.5:
-        lg = log_gamma(1.0 - s).value
-        chi = cmath.exp(s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
-                        + _log_sin_half_pi_s(s) + lg)
-        inner = complex_zeta(1.0 - s)
-        value = chi * inner.value
-        # chi's phase carries that of log Gamma(1-s), about t log t, in binary64
-        bound = (abs(chi) * inner.abs_error_bound
-                 + (1e-14 + 2.0 ** -52 * abs(lg.imag)) * abs(value))
-        return EvalResult(value, bound, inner.terms_used)
+        raise RangeExceededError(f"complex_zeta requires Re s >= -1/2, got {s}")
 
     N = max(20, int(math.ceil(2.0 * abs(s.imag))))
     v1, b1 = _euler_maclaurin_zeta(s, N)[:2]
@@ -178,40 +166,11 @@ def complex_zeta(s: complex) -> EvalResult:
     raise QuadratureConvergenceError(f"zeta({s}) still moves {moved:.1e} after four doublings")
 
 
-def _log_sin_half_pi_s(s: complex) -> complex:
-    """log sin(pi s / 2), stable for large |Im s| (any 2*pi*i*k branch)."""
-    z = 0.5 * math.pi * s
-    if abs(z.imag) < 20.0:
-        return cmath.log(cmath.sin(z))
-    # sin z = j e^{-jz} (1 - e^{2jz}) / 2 with j = i sign(Im z): the dominant
-    # exponential factored out on either side of the real axis, log j = j pi/2
-    j = 1j if z.imag > 0 else -1j
-    return -j * z - math.log(2.0) + 0.5 * math.pi * j + cmath.log(1.0 - cmath.exp(2.0 * j * z))
-
-
 def real_zeta(s: float) -> EvalResult:
-    """zeta(s) for real s != 1, valid on the whole real line.
-
-    Nonnegative s goes straight to Euler-Maclaurin; negative s uses the
-    functional equation through log-gamma, which keeps the evaluation
-    accurate where the direct sum would cancel catastrophically.
-    """
-    s = float(s)
-    if abs(s - 1.0) < _POLE_RADIUS:
-        raise PoleProximityError(f"s = {s} within {_POLE_RADIUS} of the pole at 1")
-    if s >= 0.0:
-        r = complex_zeta(complex(s, 0.0))
-        return EvalResult(r.value.real, r.abs_error_bound, r.terms_used)
-    chi = (
-        2.0**s
-        * math.pi ** (s - 1.0)
-        * math.sin(0.5 * math.pi * s)
-        * gamma_real(1.0 - s).value
-    )
-    inner = real_zeta(1.0 - s)
-    value = chi * inner.value
-    bound = abs(chi) * inner.abs_error_bound + 1e-14 * (abs(value) + abs(chi))
-    return EvalResult(value, bound, inner.terms_used)
+    """zeta(s) for real s >= -1/2, s != 1: the real part of complex_zeta,
+    with its bound, pole guard and range guard."""
+    r = complex_zeta(complex(float(s), 0.0))
+    return EvalResult(r.value.real, r.abs_error_bound, r.terms_used)
 
 
 def _stirling_log_gamma(z: complex) -> complex:
@@ -252,25 +211,18 @@ def log_gamma(z: complex) -> EvalResult:
 
 
 def gamma_real(x: float) -> EvalResult:
-    """Gamma on the real line away from the poles at 0, -1, -2, ...
-
-    Negative non-integer arguments go through the reflection formula.
-    """
+    """Gamma for real x > 0.  PoleProximityError at the poles 0, -1, -2, ...;
+    RangeExceededError (from log_gamma) at any other x < 0."""
     x = float(x)
     if x <= 0.0 and abs(x - round(x)) < 1e-12:
         raise PoleProximityError(f"Gamma pole at x = {x}")
-    if x > 0.0:
-        lg = log_gamma(x)
-        value = math.exp(lg.value.real)
-        return EvalResult(value, abs(value) * (lg.abs_error_bound + 1e-14), lg.terms_used)
-    inner = gamma_real(1.0 - x)
-    value = math.pi / (math.sin(math.pi * x) * inner.value)
-    rel = inner.abs_error_bound / abs(inner.value) + 1e-13
-    return EvalResult(value, abs(value) * rel, inner.terms_used)
+    lg = log_gamma(x)
+    value = math.exp(lg.value.real)
+    return EvalResult(value, abs(value) * (lg.abs_error_bound + 1e-14), lg.terms_used)
 
 
 def riemann_siegel_theta(t: float) -> EvalResult:
-    """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi.
+    """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi, for |t| <= 1e5.
 
     Odd in t, entire on the real line; the phase that turns the critical
     line into the real-valued Hardy function.

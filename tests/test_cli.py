@@ -73,15 +73,20 @@ class TestEval:
         # the contour rows carry the observed bound, not the tolerance
         assert all(float(g[5]) < 1e-12 for g in got[:2])
 
-    def test_cache_lines_in_config_order(self, tmp_path):
-        # the main thread appends after the pool has finished, in grid
-        # order, so the order in which workers finish cannot show
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cache_lines_in_config_order(self, tmp_path, threads):
+        # eval runs its points in grid order and appends the misses in that
+        # order, so neither the CSV nor the cache file depends on --threads
         cfg = tmp_path / "cfg.txt"
         _write(cfg, "sigma_list = 0.5, 0\nt_grid = 20, 30, 60\n")
-        cache = tmp_path / "cache.txt"
-        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path),
-                     "--cache", str(cache), "--threads", "2"]) == 0
-        lines = _read(cache).decode().splitlines()
+        written = []
+        for k, budget in enumerate(("1", threads)):
+            cache = tmp_path / f"cache{k}.txt"
+            assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / str(k)),
+                         "--cache", str(cache), "--threads", budget]) == 0
+            written.append((_read(tmp_path / str(k) / "eval.csv"), _read(cache)))
+        assert written[1] == written[0]
+        lines = written[1][1].decode().splitlines()
         assert lines[0] == FORMAT_TAG
         keys = [tuple(float(f) for f in line.split("\t")[:2]) for line in lines[1:]]
         assert keys == [(s, t) for s in (0.5, 0.0) for t in (20.0, 30.0, 60.0)]
