@@ -21,7 +21,7 @@ from .mean_value import (MeanValueSample, cross_term_value,
                          integrate_mean, moment_stream)
 from .predictors import (Prediction, exp_poly_integral,
                          predict_laplace_unweighted, predict_laplace_weighted,
-                         predict_unweighted, predict_weighted, regime_of)
+                         predict_unweighted, predict_weighted)
 from .special_functions import (EvalResult, complex_zeta, gamma_real,
                                 log_gamma, real_zeta, riemann_siegel_theta)
 
@@ -37,5 +37,5 @@ __all__ = [
     "parse_config", "power_law_stream", "power_sum_asymptotic",
     "power_sum_partial", "predict_laplace_unweighted",
     "predict_laplace_weighted", "predict_unweighted", "predict_weighted",
-    "real_zeta", "regime_of", "riemann_siegel_theta",
+    "real_zeta", "riemann_siegel_theta",
 ]

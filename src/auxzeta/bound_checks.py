@@ -31,9 +31,6 @@ from .aux_eval import TWO_PI_LONG
 from .errors import BudgetExceededError
 from .special_functions import EULER_GAMMA, EvalResult, real_zeta
 
-# Euler's constant beyond binary64, for the extended-precision check branch.
-EULER_GAMMA_HIGH = "0.57721566490153286060651209008240243104215933593992"
-
 _GLX8, _GLW8 = np.polynomial.legendre.leggauss(8)
 
 _DOUBLE_SUM_BUDGET = 3000
@@ -213,13 +210,9 @@ def _power_sum_residual_mp(x: float, sigma: float, headroom: float) -> tuple[flo
     else:
         p = ctx.mpf(-2.0 * sigma)
         total = ctx.fsum(ctx.mpf(n) ** p for n in range(1, N + 1))
-    xm = ctx.mpf(x)
-    if sigma == 0.5:
-        asym = ctx.log(xm) + ctx.mpf(EULER_GAMMA_HIGH)
-    else:
-        asym = xm ** (1 - 2 * ctx.mpf(sigma)) / (1 - 2 * ctx.mpf(sigma))
-        if sigma > 0.0:
-            asym += ctx.zeta(2 * ctx.mpf(sigma))
+    asym = ctx.mpf(x) ** (1 - 2 * ctx.mpf(sigma)) / (1 - 2 * ctx.mpf(sigma))
+    if sigma > 0.0:
+        asym += ctx.zeta(2 * ctx.mpf(sigma))
     resid = float(total - asym)
     return resid, 8.0 * 2.0 ** -ctx.prec * float(abs(total) + abs(asym)) + _U * abs(resid)
 

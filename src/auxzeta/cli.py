@@ -119,10 +119,10 @@ def cmd_meanvalue(ctx: RunContext) -> tuple[list[list], int, int]:
 
     rows, n_evals = [], 0
     for sigma in cfg.sigma_list if cfg.T_grid else []:  # one stream at a time
+        pred = predict(sigma)
         samples = mean_value.integrate_mean(sigma, list(cfg.T_grid), cfg.weighted, ctx.threads)
         n_evals += samples[0].n_evals  # each sample carries its whole stream's count
         for s in samples:
-            pred = predict(sigma, s.T)
             main = pred.evaluate(s.T)
             resid = s.value - main
             scale = s.T ** pred.error_exponent
@@ -172,7 +172,7 @@ def cmd_lemmas(ctx: RunContext) -> tuple[list[list], int, int]:
 
 def cmd_verify(ctx: RunContext) -> tuple[list[list], int, int]:
     """Full acceptance run; nonzero exit when any criterion fails."""
-    results = acceptance.run_all(ctx.criteria, verbose=True)
+    results = acceptance.run_all(ctx.criteria)
     rows = [[r.number, r.title, "pass" if r.passed else "fail",
              round(r.elapsed_s, 2)] for r in results]
     with open(f"{ctx.out_dir}/verify_report.txt", "w", encoding="utf-8") as fh:

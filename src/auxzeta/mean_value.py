@@ -82,10 +82,7 @@ def diagonal_closed_form(sigma: float, T: float, weighted: bool) -> float:
     """
     if not T >= TWO_PI:
         raise ValueError("requires T >= 2*pi")
-    N = n_main_terms(T)
-    if N < 1:
-        return 0.0
-    n = np.arange(1, N + 1, dtype=np.float64)
+    n = np.arange(1, n_main_terms(T) + 1, dtype=np.float64)
     if not weighted:
         return float(np.sum(n ** (-2.0 * sigma) * (T - TWO_PI * n * n)))
     if sigma == -1.0:

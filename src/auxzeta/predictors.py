@@ -3,12 +3,14 @@ Laplace-transform predictors.
 
 Every prediction is returned as explicit (coefficient, power of T/2pi,
 log power) main terms together with the exponent of T in the error term,
-so callers can form scaled residuals uniformly.  Regime boundaries follow
-the closed/open inequalities of the asymptotic tables: sigma = 1/4 belongs
-to the flat square-root regime, sigma = 1/2 is the logarithmic case,
-sigma in [1, 2] keeps the T^{sigma/2} error, and only sigma > 2 degrades
-to T^{sigma-1} (weighted); the unweighted table is the analogous
-seven-case split.
+so callers can form scaled residuals uniformly.  Each table is one chain of
+sigma comparisons whose edges follow the closed/open inequalities of the
+asymptotic tables:
+
+    weighted:   sigma <= 1/4 | 1/4 < sigma < 1/2 | sigma = 1/2
+                | 1/2 < sigma < 1 | 1 <= sigma <= 2 | sigma > 2
+    unweighted: sigma <= 1/4 | 1/4 < sigma < 1/2 | sigma = 1/2
+                | 1/2 < sigma < 1 | sigma = 1 | 1 < sigma < 2 | sigma >= 2
 
 The weighted critical-case constant admits two candidate values that
 differ by exactly 2/3; re-deriving the closed-form integral
@@ -29,16 +31,13 @@ from .aux_eval import TWO_PI
 from .errors import RangeExceededError
 from .special_functions import EULER_GAMMA, gamma_real, log_gamma, real_zeta
 
-WEIGHTED_MEAN = "WeightedMean"
-UNWEIGHTED_MEAN = "UnweightedMean"
-
 CRITICAL_CONSTANT_DERIVED = 2.0 * (3.0 * EULER_GAMMA - 1.0) / 9.0
 CRITICAL_CONSTANT_ALTERNATE = 2.0 * (3.0 * EULER_GAMMA - 4.0) / 9.0
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """Asymptotic main terms plus error-term metadata for one regime.
+    """Asymptotic main terms plus error-term metadata at one sigma.
 
     main_terms: tuples (coefficient, power of T/2pi, integer log power);
     error_exponent: power of T inside the O-term;
@@ -48,98 +47,62 @@ class Prediction:
     main_terms: tuple
     error_exponent: float
     log_factor_in_error: bool
-    regime: str
 
     def evaluate(self, T: float) -> float:
+        """Sum of the main terms at T >= 2 pi."""
+        if not T >= TWO_PI:
+            raise ValueError("requires T >= 2*pi")
         x = T / TWO_PI
         lx = math.log(x)
         return sum(c * x**p * lx**q for (c, p, q) in self.main_terms)
 
 
-def regime_of(sigma: float, theorem: str) -> str:
-    """Regime label for sigma under the weighted or unweighted table."""
-    if theorem == WEIGHTED_MEAN:
-        if sigma < 0.0:
-            return "negative_sqrt"
-        if sigma <= 0.25:
-            return "sqrt_main"
-        if sigma < 0.5:
-            return "sqrt_plus_zeta"
-        if sigma == 0.5:
-            return "critical_log"
-        if sigma < 1.0:
-            return "zeta_plus_sqrt"
-        if sigma <= 2.0:
-            return "zeta_main"
-        return "zeta_main_wide_error"
-    if theorem == UNWEIGHTED_MEAN:
-        if sigma <= 0.25:
-            return "shifted_sqrt"
-        if sigma < 0.5:
-            return "shifted_sqrt_plus_zeta"
-        if sigma == 0.5:
-            return "critical_log"
-        if sigma < 1.0:
-            return "zeta_plus_shifted_sqrt"
-        if sigma == 1.0:
-            return "zeta_edge_log"
-        if sigma < 2.0:
-            return "zeta_main"
-        return "zeta_main_fast_error"
-    raise ValueError(f"unknown theorem tag {theorem!r}")
+def predict_weighted(sigma: float) -> Prediction:
+    """Main terms of (1/T) int_1^T |R(sigma+it)|^2 (t/2pi)^sigma dt, with
+    edges at sigma = 1/4, 1/2, 1 and 2; the sigma = 1/2 constant is the
+    derived 2(3g-1)/9."""
+    def sqrt_term():
+        return (2.0 / (3.0 * (1.0 - 2.0 * sigma)), 0.5, 0)
 
+    def zeta_term():
+        return (real_zeta(2.0 * sigma).value / (sigma + 1.0), sigma, 0)
 
-def predict_weighted(sigma: float, T: float) -> Prediction:
-    """Main terms of (1/T) int_1^T |R(sigma+it)|^2 (t/2pi)^sigma dt; the
-    sigma = 1/2 constant is the derived 2(3g-1)/9."""
-    if not T >= TWO_PI:
-        raise ValueError("requires T >= 2*pi")
-    regime = regime_of(sigma, WEIGHTED_MEAN)
-    sqrt_coef = 2.0 / (3.0 * (1.0 - 2.0 * sigma)) if sigma != 0.5 else 0.0
-
-    if regime == "negative_sqrt" or regime == "sqrt_main":
-        return Prediction(((sqrt_coef, 0.5, 0),), 0.25, False, regime)
-    if regime == "sqrt_plus_zeta":
-        zc = real_zeta(2.0 * sigma).value / (sigma + 1.0)
-        return Prediction(((sqrt_coef, 0.5, 0), (zc, sigma, 0)), 0.25, False, regime)
-    if regime == "critical_log":
+    if sigma <= 0.25:  # square root alone
+        return Prediction((sqrt_term(),), 0.25, False)
+    if sigma < 0.5:  # square root plus zeta
+        return Prediction((sqrt_term(), zeta_term()), 0.25, False)
+    if sigma == 0.5:  # critical logarithm
         return Prediction(((1.0 / 3.0, 0.5, 1), (CRITICAL_CONSTANT_DERIVED, 0.5, 0)),
-                          0.25, True, regime)
-    zc = real_zeta(2.0 * sigma).value / (sigma + 1.0)
-    if regime == "zeta_plus_sqrt":
-        return Prediction(((zc, sigma, 0), (sqrt_coef, 0.5, 0)),
-                          0.5 * sigma, False, regime)
-    if regime == "zeta_main":
-        return Prediction(((zc, sigma, 0),), 0.5 * sigma, False, regime)
-    return Prediction(((zc, sigma, 0),), sigma - 1.0, False, regime)
+                          0.25, True)
+    if sigma < 1.0:  # zeta plus square root
+        return Prediction((zeta_term(), sqrt_term()), 0.5 * sigma, False)
+    if sigma <= 2.0:  # zeta alone
+        return Prediction((zeta_term(),), 0.5 * sigma, False)
+    return Prediction((zeta_term(),), sigma - 1.0, False)  # zeta, wide error
 
 
-def predict_unweighted(sigma: float, T: float) -> Prediction:
-    """Main terms of (1/T) int_1^T |R(sigma+it)|^2 dt (seven regimes)."""
-    if not T >= TWO_PI:
-        raise ValueError("requires T >= 2*pi")
-    regime = regime_of(sigma, UNWEIGHTED_MEAN)
-    if sigma != 0.5:
-        shifted_coef = 2.0 / ((1.0 - 2.0 * sigma) * (3.0 - 2.0 * sigma))
+def predict_unweighted(sigma: float) -> Prediction:
+    """Main terms of (1/T) int_1^T |R(sigma+it)|^2 dt, with edges at
+    sigma = 1/4, 1/2, 1 and 2; sigma = 1 is a case of its own."""
+    def sqrt_term():
+        return (2.0 / ((1.0 - 2.0 * sigma) * (3.0 - 2.0 * sigma)), 0.5 - sigma, 0)
 
-    if regime == "shifted_sqrt":
-        return Prediction(((shifted_coef, 0.5 - sigma, 0),), 0.25 - sigma, False, regime)
-    if regime == "shifted_sqrt_plus_zeta":
-        zc = real_zeta(2.0 * sigma).value
-        return Prediction(((shifted_coef, 0.5 - sigma, 0), (zc, 0.0, 0)),
-                          0.25 - sigma, False, regime)
-    if regime == "critical_log":
-        return Prediction(((0.5, 0.0, 1), (EULER_GAMMA - 0.5, 0.0, 0)),
-                          -0.25, True, regime)
-    zc = real_zeta(2.0 * sigma).value
-    if regime == "zeta_plus_shifted_sqrt":
-        return Prediction(((zc, 0.0, 0), (shifted_coef, 0.5 - sigma, 0)),
-                          -0.5 * sigma, False, regime)
-    if regime == "zeta_edge_log":
-        return Prediction(((zc, 0.0, 0),), -0.5, True, regime)
-    if regime == "zeta_main":
-        return Prediction(((zc, 0.0, 0),), -0.5 * sigma, False, regime)
-    return Prediction(((zc, 0.0, 0),), -1.0, False, regime)
+    def zeta_term():
+        return (real_zeta(2.0 * sigma).value, 0.0, 0)
+
+    if sigma <= 0.25:  # shifted square root alone
+        return Prediction((sqrt_term(),), 0.25 - sigma, False)
+    if sigma < 0.5:  # shifted square root plus zeta
+        return Prediction((sqrt_term(), zeta_term()), 0.25 - sigma, False)
+    if sigma == 0.5:  # critical logarithm
+        return Prediction(((0.5, 0.0, 1), (EULER_GAMMA - 0.5, 0.0, 0)), -0.25, True)
+    if sigma < 1.0:  # zeta plus shifted square root
+        return Prediction((zeta_term(), sqrt_term()), -0.5 * sigma, False)
+    if sigma == 1.0:  # zeta, logarithmic error
+        return Prediction((zeta_term(),), -0.5, True)
+    if sigma < 2.0:  # zeta alone
+        return Prediction((zeta_term(),), -0.5 * sigma, False)
+    return Prediction((zeta_term(),), -1.0, False)  # zeta, fast error
 
 
 def predict_laplace_weighted(sigma: float, epsilon: float) -> float:

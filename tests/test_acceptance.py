@@ -6,7 +6,8 @@ them live); details land in the captured output on failure.
 
 import pytest
 
-from auxzeta import acceptance
+from auxzeta import acceptance, mean_value
+from auxzeta.aux_eval import n_main_terms
 
 _CRITERIA = [
     (1, acceptance.criterion_1),
@@ -29,3 +30,28 @@ def test_criterion(number, runner):
     for d in result.details:
         print("   ", d)
     assert result.passed, result.line() + "\n" + "\n".join(result.details)
+
+
+def test_criterion_9_reaches_the_worker_split(monkeypatch):
+    # a stream folds a run on a worker only from 8 k N >= _SPLIT_TERMS, so
+    # the gate's grid must hold such a run for the 8-thread side to differ
+    grids, pools = [], []
+    integrate = mean_value.integrate_mean
+    executor = mean_value.ThreadPoolExecutor
+
+    def spy_integrate(sigma, t_grid, weighted, threads=1):
+        grids.append(list(t_grid))
+        return integrate(sigma, t_grid, weighted, threads)
+
+    def spy_executor(*args, **kwargs):
+        pools.append(args)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(mean_value, "integrate_mean", spy_integrate)
+    monkeypatch.setattr(mean_value, "ThreadPoolExecutor", spy_executor)
+    assert acceptance.criterion_9().passed
+    grid = grids[0]
+    largest = max(8 * k * n_main_terms(0.5 * (lo + hi))
+                  for lo, hi, k in mean_value._runs(max(grid), grid))
+    assert largest >= mean_value._SPLIT_TERMS
+    assert pools == [(8,)]

@@ -15,6 +15,7 @@ from auxzeta.bound_checks import PRODUCT_KIND, QUOTIENT_KIND, double_sum_growth
 from auxzeta.cache import FORMAT_TAG
 from auxzeta.cli import main
 from auxzeta.mean_value import integrate_mean
+from auxzeta.special_functions import real_zeta
 
 TWO_PI = 2.0 * math.pi
 
@@ -191,6 +192,14 @@ class TestMeanValue:
         value, main_term, residual = float(row[3]), float(row[4]), float(row[5])
         assert main_term == pytest.approx((2.0 / 3.0) * 10.0, rel=1e-12)
         assert residual == pytest.approx(value - main_term, abs=1e-15)
+
+    def test_unweighted_three_halves(self, tmp_path):
+        # 3 - 2 sigma = 0: the table's zeta row, with no division by zero
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, f"sigma_list = 1.5\nT_grid = {TWO_PI * 100!r}\nweighted = false\n")
+        assert main(["meanvalue", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = list(csv.DictReader(_read(tmp_path / "meanvalue.csv").decode().splitlines()))
+        assert [float(r["main_term"]) for r in rows] == [real_zeta(3.0).value]
 
     def test_thread_budget_keeps_csv_bytes(self, tmp_path):
         # to 2pi 2e4 each stream folds its large runs on the thread budget's

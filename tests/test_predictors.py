@@ -1,4 +1,4 @@
-"""Predictor tables: coefficients, regimes, Laplace forms, series identity."""
+"""Predictor tables: coefficients, table edges, Laplace forms, series identity."""
 
 import math
 
@@ -7,11 +7,10 @@ import pytest
 
 from auxzeta.errors import RangeExceededError
 from auxzeta.predictors import (CRITICAL_CONSTANT_ALTERNATE,
-                                CRITICAL_CONSTANT_DERIVED, UNWEIGHTED_MEAN,
-                                WEIGHTED_MEAN, exp_poly_integral,
+                                CRITICAL_CONSTANT_DERIVED, exp_poly_integral,
                                 predict_laplace_unweighted,
                                 predict_laplace_weighted, predict_unweighted,
-                                predict_weighted, regime_of)
+                                predict_weighted)
 from auxzeta.special_functions import EULER_GAMMA, real_zeta
 
 TWO_PI = 2.0 * math.pi
@@ -30,25 +29,25 @@ def _gl_quad(f, a, b, panels=400):
 
 class TestWeightedTable:
     def test_sigma_zero(self):
-        p = predict_weighted(0.0, T_REF)
+        p = predict_weighted(0.0)
         assert p.main_terms == ((2.0 / 3.0, 0.5, 0),)
         assert p.error_exponent == 0.25
         assert not p.log_factor_in_error
 
     def test_sigma_minus_one_coefficient(self):
-        p = predict_weighted(-1.0, T_REF)
+        p = predict_weighted(-1.0)
         assert p.main_terms[0][0] == pytest.approx(2.0 / 9.0, rel=1e-15)
         assert p.error_exponent == 0.25
 
     def test_sigma_one(self):
-        p = predict_weighted(1.0, T_REF)
+        p = predict_weighted(1.0)
         coef, power, logp = p.main_terms[0]
         assert coef == pytest.approx(real_zeta(2.0).value / 2.0, rel=1e-12)
         assert (power, logp) == (1.0, 0)
         assert p.error_exponent == 0.5
 
     def test_critical_constants(self):
-        p = predict_weighted(0.5, T_REF)
+        p = predict_weighted(0.5)
         assert p.main_terms[0] == (1.0 / 3.0, 0.5, 1)
         assert p.main_terms[1][0] == CRITICAL_CONSTANT_DERIVED
         assert CRITICAL_CONSTANT_ALTERNATE == pytest.approx(
@@ -67,7 +66,7 @@ class TestWeightedTable:
             assert num == pytest.approx(want, rel=1e-10)
 
     def test_mid_band_has_both_terms(self):
-        p = predict_weighted(0.75, T_REF)
+        p = predict_weighted(0.75)
         powers = sorted(pw for _, pw, _ in p.main_terms)
         assert powers == [0.5, 0.75]
         assert p.error_exponent == 0.375
@@ -75,41 +74,53 @@ class TestWeightedTable:
 
 class TestUnweightedTable:
     def test_sigma_two_constant(self):
-        p = predict_unweighted(2.0, T_REF)
+        p = predict_unweighted(2.0)
         assert p.main_terms[0][0] == pytest.approx(math.pi**4 / 90.0, rel=1e-12)
         assert p.error_exponent == -1.0
 
     def test_sigma_half(self):
-        p = predict_unweighted(0.5, T_REF)
+        p = predict_unweighted(0.5)
         assert p.main_terms == ((0.5, 0.0, 1), (EULER_GAMMA - 0.5, 0.0, 0))
         assert p.error_exponent == -0.25
         assert p.log_factor_in_error
 
     def test_sigma_zero_coefficient(self):
-        p = predict_unweighted(0.0, T_REF)
+        p = predict_unweighted(0.0)
         assert p.main_terms[0][0] == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert p.main_terms[0][1] == 0.5
 
     def test_evaluate(self):
-        p = predict_unweighted(0.5, T_REF)
+        p = predict_unweighted(0.5)
         want = 0.5 * math.log(T_REF / TWO_PI) + EULER_GAMMA - 0.5
         assert p.evaluate(T_REF) == pytest.approx(want, rel=1e-14)
+
+    def test_sigma_three_halves(self):
+        # 3 - 2 sigma = 0 here: only the shifted square root, which this
+        # regime does not use, would divide by it
+        p = predict_unweighted(1.5)
+        assert p.main_terms == ((real_zeta(3.0).value, 0.0, 0),)
+        assert p.error_exponent == -0.75
+        assert not p.log_factor_in_error
+
+    def test_evaluate_below_two_pi_is_error(self):
+        for predict in (predict_weighted, predict_unweighted):
+            with pytest.raises(ValueError):
+                predict(0.0).evaluate(0.99 * TWO_PI)
 
 
 class TestRegimes:
     def test_boundary_memberships(self):
-        assert regime_of(0.25, WEIGHTED_MEAN) == "sqrt_main"
-        assert regime_of(2.0, UNWEIGHTED_MEAN) == "zeta_main_fast_error"
-        assert regime_of(-3.0, WEIGHTED_MEAN) == "negative_sqrt"
-        assert regime_of(1.0, WEIGHTED_MEAN) == "zeta_main"
-        assert regime_of(2.0, WEIGHTED_MEAN) == "zeta_main"
-        assert regime_of(2.5, WEIGHTED_MEAN) == "zeta_main_wide_error"
-        assert regime_of(1.0, UNWEIGHTED_MEAN) == "zeta_edge_log"
+        assert len(predict_weighted(0.25).main_terms) == 1
+        assert len(predict_weighted(0.26).main_terms) == 2
+        assert predict_weighted(2.0).error_exponent == 1.0
+        assert predict_weighted(2.5).error_exponent == 1.5
+        assert predict_unweighted(1.0).log_factor_in_error
+        assert predict_unweighted(2.0).error_exponent == -1.0
 
     def test_error_below_main_growth(self):
         for sigma in (-2.0, -0.5, 0.0, 0.25, 0.4, 0.5, 0.8, 1.0, 1.7, 2.0, 3.0):
             for predict in (predict_weighted, predict_unweighted):
-                p = predict(sigma, T_REF)
+                p = predict(sigma)
                 top = max(power for (_, power, _) in p.main_terms)
                 assert p.error_exponent < top + 1.0
                 # the O-term is lower order than the top main term over T
