@@ -1,18 +1,18 @@
 """The acceptance gate: nine numbered criteria, each a self-contained run.
 
-Each criterion returns a :class:`CriterionResult` with pass/fail, detail
-lines, and wall time; ``run_all`` executes any subset.  Tolerances are
-fixed here, not calibrated at run time.  The asymptotic envelopes carry
-sigma-dependent constants, so the criteria mix exact-identity checks
-(decomposition), oracle calibration (synthetic Laplace input), and
-scaled-residual boundedness at desk scale.
+Each criterion returns its title, pass/fail and detail lines; ``run_all``
+runs any subset, numbering each by its key in ``CRITERIA`` and timing it
+into a :class:`CriterionResult`.  Tolerances are fixed here, not calibrated
+at run time.  The asymptotic envelopes carry sigma-dependent constants, so
+the criteria mix exact-identity checks (decomposition), oracle calibration
+(synthetic Laplace input), and scaled-residual boundedness at desk scale.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,22 +27,16 @@ class CriterionResult:
     number: int
     title: str
     passed: bool
-    details: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
+    details: list[str]
+    elapsed_s: float
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"criterion {self.number} [{status}] {self.title} ({self.elapsed_s:.1f}s)"
 
 
-def _result(number, title, passed, details, t0) -> CriterionResult:
-    return CriterionResult(number, title, bool(passed), details,
-                           time.perf_counter() - t0)
-
-
-def criterion_1() -> CriterionResult:
+def criterion_1() -> tuple[str, bool, list[str]]:
     """Decomposition exactness: streamed integral vs diagonal + cross parts."""
-    t0 = time.perf_counter()
     details, ok = [], True
     for sigma in (-1.0, 0.0, 0.25, 0.5, 1.0, 2.0):
         for T in (TWO_PI * 100.0, TWO_PI * 400.0):
@@ -54,12 +48,11 @@ def criterion_1() -> CriterionResult:
                     f"sigma={sigma:+.2f} T/2pi={T / TWO_PI:.0f} "
                     f"weighted={weighted}: discrepancy={disc:.3e}"
                     + ("" if good else "  <-- above 1e-6"))
-    return _result(1, "decomposition exactness <= 1e-6", ok, details, t0)
+    return "decomposition exactness <= 1e-6", ok, details
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> tuple[str, bool, list[str]]:
     """Weighted sigma=0 moment: scaled residual non-increasing, 5% at top."""
-    t0 = time.perf_counter()
     grid = [TWO_PI * 1.0e3, TWO_PI * 4.0e3, TWO_PI * 1.0e4]
     samples = mean_value.integrate_mean(0.0, grid, weighted=True)
     scaled = []
@@ -78,13 +71,11 @@ def criterion_2() -> CriterionResult:
     details.append(f"monotone={monotone} bounded={bounded} "
                    f"top value {top.value:.4f} vs {main_top:.4f} "
                    f"({100 * abs(top.value - main_top) / main_top:.2f}%)")
-    return _result(2, "weighted sigma=0 main term", monotone and bounded and within5,
-                   details, t0)
+    return "weighted sigma=0 main term", monotone and bounded and within5, details
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> tuple[str, bool, list[str]]:
     """Critical-constant discrimination by least-squares fit."""
-    t0 = time.perf_counter()
     Ts = [TWO_PI * x for x in np.unique(np.round(np.logspace(3, 4, 25)))]
     samples = mean_value.integrate_mean(0.5, Ts, weighted=True)
     xs, ys = [], []
@@ -105,13 +96,12 @@ def criterion_3() -> CriterionResult:
         f"alternate candidate 2(3g-4)/9 = {alternate:.5f}  |c-.|={abs(c - alternate):.5f}",
         f"alternate rejected: {rejects_alternate}",
     ]
-    return _result(3, "critical-case constant fit |c - 2(3g-1)/9| < 0.15",
-                   ok and rejects_alternate, details, t0)
+    return ("critical-case constant fit |c - 2(3g-1)/9| < 0.15",
+            ok and rejects_alternate, details)
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> tuple[str, bool, list[str]]:
     """Unweighted sigma=2 convergence to zeta(4) at rate 10/T."""
-    t0 = time.perf_counter()
     target = math.pi**4 / 90.0
     grid = [TWO_PI * x for x in (1.0e3, 2.0e3, 4.0e3, 1.0e4)]
     samples = mean_value.integrate_mean(2.0, grid, weighted=False)
@@ -123,12 +113,11 @@ def criterion_4() -> CriterionResult:
         ok &= good
         details.append(f"T/2pi={s.T / TWO_PI:.0f}: |value-zeta(4)|*T = {gap * s.T:.4f}"
                        f" (allowed 10)" + ("" if good else "  <-- FAIL"))
-    return _result(4, "unweighted sigma=2: |value - pi^4/90| <= 10/T", ok, details, t0)
+    return "unweighted sigma=2: |value - pi^4/90| <= 10/T", ok, details
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> tuple[str, bool, list[str]]:
     """Unweighted sigma=1/2: scaled residual bounded on the grid."""
-    t0 = time.perf_counter()
     grid = [TWO_PI * x for x in (1.0e3, 2.0e3, 3.0e3, 5.0e3, 7.0e3, 1.0e4)]
     samples = mean_value.integrate_mean(0.5, grid, weighted=False)
     details, scaled = [], []
@@ -140,12 +129,11 @@ def criterion_5() -> CriterionResult:
                        f"main={main:.6f} scaled={sc:.4f}")
     ok = max(scaled) <= 1.0
     details.append(f"max scaled residual = {max(scaled):.4f} (bound 1.0)")
-    return _result(5, "unweighted sigma=1/2 scaled residual bounded", ok, details, t0)
+    return "unweighted sigma=1/2 scaled residual bounded", ok, details
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> tuple[str, bool, list[str]]:
     """Laplace scan ratios plus synthetic-input calibration."""
-    t0 = time.perf_counter()
     details, ok = [], True
 
     # synthetic calibration on d(t^1.5) isolates the node sum's quadrature error
@@ -172,13 +160,12 @@ def criterion_6() -> CriterionResult:
         else:
             # limit-claim only: monotonicity recorded, not asserted
             details.append(f"sigma=-1 |ratio-1| non-increasing: {monotone} (recorded)")
-    return _result(6, "Laplace scan: |ratio-1| <= 0.15 at eps=0.01, calibration 1e-6",
-                   ok, details, t0)
+    return ("Laplace scan: |ratio-1| <= 0.15 at eps=0.01, calibration 1e-6",
+            ok, details)
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> tuple[str, bool, list[str]]:
     """Bound-infrastructure suites on seeded random and doubling grids."""
-    t0 = time.perf_counter()
     details, ok = [], True
 
     checks = bound_checks.random_osc_sweep(1000, seed=20250808)
@@ -206,12 +193,11 @@ def criterion_7() -> CriterionResult:
         details.append(f"double-sum {kind} sigma={sigma:+.1f}: ratios "
                        + ", ".join(f"{r:.3f}" for r in ratios)
                        + f" (spread {spread:.2f} <= 5)")
-    return _result(7, "bound suites: osc ratio <= 1, residuals bounded", ok, details, t0)
+    return "bound suites: osc ratio <= 1, residuals bounded", ok, details
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> tuple[str, bool, list[str]]:
     """Evaluator cross-validation sweep and critical-line inequality grid."""
-    t0 = time.perf_counter()
     details, ok = [], True
 
     route_gap = 0.0  # shifted (production) contour vs the unshifted oracle
@@ -248,17 +234,15 @@ def criterion_8() -> CriterionResult:
     ok &= n_viol == 0
     details.append(f"critical-line inequality on 200 points in [10,200]: "
                    f"violations={n_viol}, min(2|R| - |zeta|) = {worst_gap:.3e}")
-    return _result(8, "contour vs main-sum sweep; 2|R| >= |zeta| - 1e-8",
-                   ok, details, t0)
+    return "contour vs main-sum sweep; 2|R| >= |zeta| - 1e-8", ok, details
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> tuple[str, bool, list[str]]:
     """Byte-identical moment CSV under thread budgets 1 and 8; the stream
     to 2pi*1e4 folds its longest runs on the 8-thread budget's workers."""
     import tempfile
     from . import cli
 
-    t0 = time.perf_counter()
     cfg = RunConfig(sigma_list=(0.0,),
                     T_grid=(TWO_PI * 100.0, TWO_PI * 400.0, TWO_PI * 1.0e4), weighted=True)
     outputs = []
@@ -272,8 +256,8 @@ def criterion_9() -> CriterionResult:
     identical = outputs[0] == outputs[1]
     details = [f"CSV bytes identical across thread budgets 1 and 8: {identical}",
                f"rows: {outputs[0].count(bytes([10]))}"]
-    return _result(9, "determinism: thread budget does not change output bytes",
-                   identical, details, t0)
+    return ("determinism: thread budget does not change output bytes",
+            identical, details)
 
 
 CRITERIA = {
@@ -284,9 +268,13 @@ CRITERIA = {
 
 
 def run_all(numbers: list[int] | None = None) -> list[CriterionResult]:
-    """Run the selected criteria (default: all) in order, printing each line."""
+    """Run the selected criteria (default: all) in order, timing each and
+    printing its line."""
     results = []
     for k in sorted(numbers) if numbers else sorted(CRITERIA):
-        results.append(CRITERIA[k]())
+        t0 = time.perf_counter()
+        title, passed, details = CRITERIA[k]()
+        results.append(CriterionResult(k, title, bool(passed), details,
+                                       time.perf_counter() - t0))
         print(results[-1].line(), flush=True)
     return results

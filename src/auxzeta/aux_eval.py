@@ -86,17 +86,12 @@ _HARD_T_LIMIT = 1000.0
 
 def n_main_terms(t: float) -> int:
     """Number of terms in the truncated sum: count of n with n <= sqrt(t/2pi),
-    boundary inclusive.  Robust against floating-point drift of the square
-    root by integer comparison against t/2pi."""
+    boundary inclusive.  Exact in integers: N^2 <= t/2pi exactly when
+    N^2 <= floor(t/2pi)."""
     x2 = t / TWO_PI
     if x2 < 1.0:
         return 0
-    N = int(math.sqrt(x2))
-    while (N + 1) * (N + 1) <= x2:
-        N += 1
-    while N * N > x2:
-        N -= 1
-    return N
+    return math.isqrt(int(x2))
 
 
 def main_sum(sigma: float, t: float) -> complex:

@@ -61,38 +61,37 @@ class EvalCache:
     a no-op, inserting a conflicting one raises.
     """
 
-    def __init__(self, path: str | None = None):
+    def __init__(self, path: str):
         self.path = path
         self._records: dict[tuple[str, str], AuxEval] = {}
         self._lock = threading.Lock()  # an instance may be shared between threads
         self._torn_at: int | None = None  # length to cut the file back to
-        if path is not None:
-            data = b""
-            if os.path.exists(path):
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            if not data.startswith(_HEADER):
-                if not _HEADER.startswith(data):
-                    raise CacheIntegrityError(
-                        f"{path} is not an evaluation cache of this version "
-                        f"(its first line is not {FORMAT_TAG!r}); remove it "
-                        f"or name another --cache file")
-                # new, empty, or its tag torn by an interrupted write
-                with open(path, "wb") as fh:
-                    fh.write(_HEADER)
-                data = _HEADER
-            complete = data.rfind(b"\n") + 1
-            if complete < len(data):
-                self._torn_at = complete
-            for line in data[len(_HEADER):complete].decode("utf-8").splitlines():
-                if not line.strip():
-                    continue
-                rec = _from_line(line)
-                prior = self._records.get(_key(rec.s))
-                if prior is not None and prior != rec:
-                    raise CacheIntegrityError(
-                        f"conflicting records for key {_key(rec.s)}")
-                self._records[_key(rec.s)] = rec
+        data = b""
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+        if not data.startswith(_HEADER):
+            if not _HEADER.startswith(data):
+                raise CacheIntegrityError(
+                    f"{path} is not an evaluation cache of this version "
+                    f"(its first line is not {FORMAT_TAG!r}); remove it "
+                    f"or name another --cache file")
+            # new, empty, or its tag torn by an interrupted write
+            with open(path, "wb") as fh:
+                fh.write(_HEADER)
+            data = _HEADER
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            self._torn_at = complete
+        for line in data[len(_HEADER):complete].decode("utf-8").splitlines():
+            if not line.strip():
+                continue
+            rec = _from_line(line)
+            prior = self._records.get(_key(rec.s))
+            if prior is not None and prior != rec:
+                raise CacheIntegrityError(
+                    f"conflicting records for key {_key(rec.s)}")
+            self._records[_key(rec.s)] = rec
 
     def __len__(self) -> int:
         return len(self._records)
@@ -113,9 +112,8 @@ class EvalCache:
                     raise CacheIntegrityError(f"conflicting insert for key {key}")
                 return
             self._records[key] = rec
-            if self.path is not None:
-                if self._torn_at is not None:
-                    os.truncate(self.path, self._torn_at)
-                    self._torn_at = None
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(_to_line(rec) + "\n")
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(_to_line(rec) + "\n")

@@ -5,9 +5,9 @@ Config files are flat key-value text::
     # comment lines start with '#'; blank lines are ignored
     key = value
 
-Values are parsed by key: float lists are comma-separated, booleans are
-``true``/``false``.  Unknown keys are hard errors -- a typo must never
-silently fall back to a default.  Two runs with equal configurations
+Values are parsed by key: float lists are comma-separated finite numbers,
+booleans are ``true``/``false``.  Unknown keys are hard errors -- a typo
+must never silently fall back to a default.  Two runs with equal configurations
 produce byte-identical result files regardless of the thread budget.
 
 Recognized keys (all optional, defaults in parentheses):
@@ -27,6 +27,7 @@ truncated sum are the constants ``aux_eval.QUAD_REL`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -45,6 +46,10 @@ class RunConfig:
     seed: int = 20250808
 
     def validate(self) -> "RunConfig":
+        for name in sorted(_FLOAT_LIST_KEYS):
+            grid = getattr(self, name)
+            if not all(math.isfinite(v) for v in grid):
+                raise ConfigError(f"{name} values must be finite, got {grid}")
         for name in ("t_grid", "T_grid"):
             grid = getattr(self, name)
             if any(b <= a for a, b in zip(grid, grid[1:])):

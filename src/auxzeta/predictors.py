@@ -27,9 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from mpmath.ctx_mp import MPContext
+
 from .aux_eval import TWO_PI
 from .errors import RangeExceededError
-from .special_functions import EULER_GAMMA, gamma_real, log_gamma, real_zeta
+from .special_functions import EULER_GAMMA, gamma_real, real_zeta
 
 CRITICAL_CONSTANT_DERIVED = 2.0 * (3.0 * EULER_GAMMA - 1.0) / 9.0
 CRITICAL_CONSTANT_ALTERNATE = 2.0 * (3.0 * EULER_GAMMA - 4.0) / 9.0
@@ -130,25 +132,15 @@ def predict_laplace_unweighted(sigma: float, epsilon: float) -> float:
 
 
 def exp_poly_integral(a: float, epsilon: float) -> float:
-    """int_1^inf t^a e^{-eps t} dt via the identity
-
-        Gamma(1+a)/eps^{1+a} + sum_{n>=1} (-1)^n eps^{n-1} / ((n-1)! (a+n)),
-
-    the alternating series truncated below 1e-16.  Requires a > 0 and
-    0 < eps <= 1 (the series is only useful for small eps).
-    """
+    """int_1^inf t^a e^{-eps t} dt = eps^{-1-a} Gamma(1+a, eps) for a > 0 and
+    eps > 0: the upper incomplete gamma at 30 digits in a private mpmath
+    context, rounded once to binary64 (within an ulp), so criterion 6
+    calibrates the Laplace node sum against an exact target."""
     if not a > 0.0:
         raise ValueError("requires a > 0")
-    if not (0.0 < epsilon <= 1.0):
-        raise RangeExceededError("requires 0 < epsilon <= 1")
-    lead = math.exp(log_gamma(1.0 + a).value.real - (1.0 + a) * math.log(epsilon))
-    total = 0.0
-    factorial = 1.0
-    for n in range(1, 200):
-        if n > 1:
-            factorial *= (n - 1)
-        term = (-1.0) ** n * epsilon ** (n - 1) / (factorial * (a + n))
-        total += term
-        if abs(term) < 1.0e-16:
-            break
-    return lead + total
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
+    ctx = MPContext()
+    ctx.dps = 30
+    power = 1 + ctx.mpf(a)
+    return float(ctx.gammainc(power, ctx.mpf(epsilon)) / ctx.mpf(epsilon) ** power)

@@ -48,19 +48,9 @@ _BERNOULLI_2K = (
     -23749461029.0 / 870.0,
 )
 
-# Stirling series coefficients B_{2k} / ((2k-1) 2k) for log-gamma.
-_STIRLING_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-    43867.0 / 244188.0,
-    -174611.0 / 125400.0,
-)
+# Stirling series coefficients B_{2k} / ((2k-1) 2k) for log-gamma, k = 1..10.
+_STIRLING_COEFFS = tuple(b / ((2 * k - 1) * 2 * k)
+                         for k, b in enumerate(_BERNOULLI_2K[:10], start=1))
 
 _EM_CORRECTION_TERMS = 12
 _IM_RANGE_LIMIT = 1.0e5

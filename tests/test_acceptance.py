@@ -9,24 +9,10 @@ import pytest
 from auxzeta import acceptance, mean_value
 from auxzeta.aux_eval import n_main_terms
 
-_CRITERIA = [
-    (1, acceptance.criterion_1),
-    (2, acceptance.criterion_2),
-    (3, acceptance.criterion_3),
-    (4, acceptance.criterion_4),
-    (5, acceptance.criterion_5),
-    (6, acceptance.criterion_6),
-    (7, acceptance.criterion_7),
-    (8, acceptance.criterion_8),
-    (9, acceptance.criterion_9),
-]
-
-
-@pytest.mark.parametrize("number,runner", _CRITERIA,
-                         ids=[f"criterion_{n}" for n, _ in _CRITERIA])
-def test_criterion(number, runner):
-    result = runner()
-    print(result.line())
+@pytest.mark.parametrize("number", sorted(acceptance.CRITERIA),
+                         ids=lambda n: f"criterion_{n}")
+def test_criterion(number):
+    (result,) = acceptance.run_all([number])
     for d in result.details:
         print("   ", d)
     assert result.passed, result.line() + "\n" + "\n".join(result.details)
@@ -49,7 +35,8 @@ def test_criterion_9_reaches_the_worker_split(monkeypatch):
 
     monkeypatch.setattr(mean_value, "integrate_mean", spy_integrate)
     monkeypatch.setattr(mean_value, "ThreadPoolExecutor", spy_executor)
-    assert acceptance.criterion_9().passed
+    _, passed, _ = acceptance.criterion_9()
+    assert passed
     grid = grids[0]
     largest = max(8 * k * n_main_terms(0.5 * (lo + hi))
                   for lo, hi, k in mean_value._runs(max(grid), grid))

@@ -38,6 +38,14 @@ class TestMainSum:
             assert n_main_terms(t_edge) == n          # boundary inclusive
             assert n_main_terms(t_edge - 1e-6) == n - 1
             assert n_main_terms(t_edge + 1e-6) == n
+        # near 2 pi n^2 the float t/2pi sits within an ulp of n^2, where a
+        # rounded square root can land on either side
+        for n in (1, 2, 5, 31, 1000, 99_999, 10**6, 12_345_677, 3 * 10**7):
+            t_edge = TWO_PI * n * n
+            for t in (math.nextafter(t_edge, 0.0), t_edge, math.nextafter(t_edge, math.inf)):
+                N = n_main_terms(t)
+                assert N in (n - 1, n)
+                assert N * N <= t / TWO_PI < (N + 1) ** 2, (n, t)
 
     def test_requires_positive_t(self):
         with pytest.raises(ValueError):

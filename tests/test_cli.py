@@ -333,6 +333,13 @@ class TestVerifyAndErrors:
         _write(cfg, "not_a_key = 1\n")
         assert main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    def test_overflowing_config_value_is_error(self, tmp_path, capsys):
+        cfg = tmp_path / "big.txt"
+        _write(cfg, "t_grid = 1e400\n")
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(tmp_path / "eval.csv")
+
     def test_missing_config_file(self, tmp_path):
         assert main(["eval", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path)]) == 1

@@ -72,6 +72,12 @@ seed = 99
         with pytest.raises(ConfigError):
             parse_config("epsilon_grid = 0.01, 0.05")
 
+    @pytest.mark.parametrize("line", ["sigma_list = 0, nan", "t_grid = 1e400",
+                                      "T_grid = 100, inf", "epsilon_grid = 0.05, -inf"])
+    def test_non_finite_value(self, line):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(line)
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("just some words")
@@ -157,13 +163,6 @@ class TestEvalCache:
         path.write_text(FORMAT_TAG + "\nnot a record\n")
         with pytest.raises(CacheIntegrityError):
             EvalCache(str(path))
-
-    def test_memory_only(self):
-        cache = EvalCache(None)
-        rec = _rec(0.0, 10.0)
-        cache.insert(rec)
-        assert cache.lookup(complex(0.0, 10.0)) == rec
-        assert cache.lookup(complex(0.0, 11.0)) is None
 
     def test_bad_field_is_integrity_error(self, tmp_path):
         path = tmp_path / "cache.txt"

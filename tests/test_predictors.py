@@ -1,7 +1,8 @@
-"""Predictor tables: coefficients, table edges, Laplace forms, series identity."""
+"""Predictor tables: coefficients, table edges, Laplace forms, calibration target."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -180,8 +181,19 @@ class TestExpPolyIntegral:
                 got = exp_poly_integral(a, eps)
                 assert got == pytest.approx(want, rel=1e-8), (a, eps)
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.5, 2.0])
+    def test_against_mp_quadrature(self, a, eps):
+        # criterion 6 calibrates a node sum good to ~1.7e-15 against this
+        # value, so its own error must sit well below that
+        with mpmath.workdps(40):
+            want = mpmath.quad(lambda t: t**a * mpmath.exp(-eps * t), [1, mpmath.inf])
+            rel = abs(mpmath.mpf(exp_poly_integral(a, eps)) - want) / want
+        assert rel <= 2.5e-16
+
     def test_domain_guards(self):
         with pytest.raises(ValueError):
             exp_poly_integral(-1.0, 0.1)
-        with pytest.raises(RangeExceededError):
-            exp_poly_integral(1.0, 2.0)
+        for eps in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                exp_poly_integral(1.0, eps)
