@@ -12,10 +12,10 @@ produce byte-identical result files regardless of the thread budget.
 
 Recognized keys (all optional, defaults in parentheses):
 
-    sigma_list    floats, comma separated         (0.0)
+    sigma_list    floats in [-25, 25]             (0.0)
     t_grid        floats: point-evaluation grid   (empty)
     T_grid        floats: moment upper limits     (empty)
-    epsilon_grid  floats, descending              (0.05, 0.02, 0.01)
+    epsilon_grid  positive floats, descending     (0.05, 0.02, 0.01)
     weighted      true/false                      (true)
     seed          int                             (20250808)
 
@@ -34,6 +34,10 @@ from .errors import ConfigError
 
 _FLOAT_LIST_KEYS = {"sigma_list", "t_grid", "T_grid", "epsilon_grid"}
 _ALL_KEYS = _FLOAT_LIST_KEYS | {"weighted", "seed"}
+# every command runs every sigma in this range: `lemmas` forms x^{-2 sigma}
+# up to x = 1e6, which leaves binary64 from |sigma| = 25.7 (the stream's
+# weight (t/2pi)^sigma leaves it near |sigma| = 48 at the pair budget)
+_SIGMA_LIMIT = 25.0
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,11 @@ class RunConfig:
             grid = getattr(self, name)
             if not all(math.isfinite(v) for v in grid):
                 raise ConfigError(f"{name} values must be finite, got {grid}")
+        if any(abs(v) > _SIGMA_LIMIT for v in self.sigma_list):
+            raise ConfigError(f"sigma_list values must lie in [-{_SIGMA_LIMIT:g}, "
+                              f"{_SIGMA_LIMIT:g}], got {self.sigma_list}")
+        if any(v <= 0.0 for v in self.epsilon_grid):
+            raise ConfigError(f"epsilon_grid values must be positive, got {self.epsilon_grid}")
         for name in ("t_grid", "T_grid"):
             grid = getattr(self, name)
             if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -6,7 +6,8 @@ engine computes
     F(T) = int_1^T |S(t)|^2 w(t) dt
 
 (a) by a streaming order-8 Gauss-Legendre pass over runs of equal panels,
-and (b) through the exact split
+four to a period of |S|^2's fastest oscillation, and (b) through the exact
+split
 
     F(T) = [diagonal]  sum_{n} n^{-2s} int_{2pi n^2}^T w(t) dt
          + [cross]   2 sum_{m<n} (nm)^{-s} int_{2pi n^2}^T w(t) cos(t log(n/m)) dt,
@@ -56,7 +57,8 @@ _PAIR_BUDGET_SQRT = 1500.0
 # product (4 MiB of complex128), so memory does not grow with a run's length
 _CHUNK_TERMS = 1 << 18
 # node-terms 8 k N from which a stream with threads > 1 folds a run on a worker:
-# on 2 cores a second worker saves more wall than it adds CPU time from N ~ 65
+# on 2 cores a second worker saves more wall than it adds CPU time from this
+# much work a run; the runs between consecutive 2pi n^2 reach it from N = 86
 _SPLIT_TERMS = 1 << 21
 
 
@@ -131,8 +133,12 @@ def cross_term_value(sigma: float, T: float, weighted: bool) -> float:
 
 def panel_width(t: float) -> float:
     """Streaming panel width, tied to the fastest oscillation log sqrt(t/2pi)
-    in |S|^2; the pi/4 factor keeps at least eight panels per period."""
-    return min(0.25, math.pi / (4.0 * math.log(2.0 + math.sqrt(t / TWO_PI))))
+    in |S|^2; the pi/2 factor keeps at least four panels (32 nodes) per
+    period.  There `_run_error`'s Gauss-Legendre terms are at most 1.4e-3 of
+    a stream's bound, which the roundoff of S sets; finer panels would buy
+    nothing the bound can see, and 8/3 a period would let the rule term
+    reach two thirds of it."""
+    return min(0.5, math.pi / (2.0 * math.log(2.0 + math.sqrt(t / TWO_PI))))
 
 
 def _runs(T_max: float, markers: list[float]) -> list[tuple[float, float, int]]:

@@ -259,6 +259,22 @@ class TestCriticalLine:
         combined = zeta.abs_error_bound + theta.abs_error_bound + 1e-8
         assert abs(z - hardy) <= combined
 
+    def test_hardy_function_identity(self):
+        # Siegel's functional equation on the critical line:
+        # Re(2 e^{i theta} R(1/2+it)) = Z(t) = e^{i theta} zeta(1/2+it), with
+        # zeta and theta from special_functions, which share no code with R;
+        # criterion 8's grid, then log-spaced t up to the contour's T_SWITCH
+        ts = np.concatenate([np.linspace(10.0, 200.0, 200), np.geomspace(200.0, 500.0, 40)])
+        for t in ts.tolist():
+            r = eval_aux(complex(0.5, t))
+            zeta = complex_zeta(complex(0.5, t))
+            theta = riemann_siegel_theta(t)
+            phase = cmath.exp(1j * theta.value)
+            gap = abs((2.0 * phase * r.value).real - (phase * zeta.value).real)
+            bound = (2.0 * r.error_bound + zeta.abs_error_bound
+                     + (abs(zeta.value) + 2.0 * abs(r.value)) * theta.abs_error_bound)
+            assert gap <= bound, (t, gap, bound)
+
     def test_modulus_dominates_zeta_small_grid(self):
         for t in np.linspace(10.0, 40.0, 20):
             z, y = critical_line_decomposition(float(t))

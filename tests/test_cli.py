@@ -340,6 +340,21 @@ class TestVerifyAndErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(tmp_path / "eval.csv")
 
+    @pytest.mark.parametrize("command", ["eval", "meanvalue", "laplace", "lemmas", "verify"])
+    @pytest.mark.parametrize("key,value", [
+        ("sigma_list", "400"), ("sigma_list", "-400"), ("sigma_list", "1e300"),
+        ("epsilon_grid", "-0.05"), ("epsilon_grid", "0"),
+    ])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, command, key, value):
+        # finite values that no command can run: one typed error, before any work
+        cfg = tmp_path / "hostile.txt"
+        _write(cfg, f"{key} = {value}\nT_grid = 70\n")
+        criteria = ["--criteria", "6"] if command == "verify" else []
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)] + criteria) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not os.path.exists(tmp_path / f"{command}.csv")
+
     def test_missing_config_file(self, tmp_path):
         assert main(["eval", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path)]) == 1

@@ -78,6 +78,17 @@ seed = 99
         with pytest.raises(ConfigError, match="finite"):
             parse_config(line)
 
+    @pytest.mark.parametrize("line,key", [
+        ("sigma_list = 0, 25.5", "sigma_list"), ("sigma_list = -400", "sigma_list"),
+        ("epsilon_grid = 0.05, 0", "epsilon_grid"), ("epsilon_grid = -0.05", "epsilon_grid"),
+    ])
+    def test_out_of_range_value(self, line, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(line)
+
+    def test_sigma_range_edges_accepted(self):
+        assert parse_config("sigma_list = -25, 25").sigma_list == (-25.0, 25.0)
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("just some words")

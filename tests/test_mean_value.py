@@ -157,6 +157,24 @@ class TestIntegrateMean:
         assert 0.0 < sample.quad_error <= 1e-12 * sample.raw_integral
         assert sample.n_evals % 8 == 0
 
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
+    def test_panels_leave_the_bound_to_roundoff(self, sigma, weighted):
+        # panel_width is as wide as the bound allows: each run's Gauss-Legendre
+        # term (its `_run_error` at F_run = 0, which adds only delta^2 W) sums
+        # to at most 1.4e-3 of quad_error up to every T; at 8/3 panels a period
+        # instead of four it reaches 0.66 of it
+        grid = [TWO_PI * x for x in (100.0, 2000.0, 1.0e4)]
+        samples = integrate_mean(sigma, grid, weighted)
+        rule = dict.fromkeys(grid, 0.0)
+        for lo, hi, k in _runs(max(grid), grid):
+            N = n_main_terms(0.5 * (lo + hi))
+            term = mean_value._run_error(sigma, weighted, lo, hi, k, N, 0.0) if N else 0.0
+            for T in grid:
+                rule[T] += term if hi <= T else 0.0
+        for s in samples:
+            assert 0.0 < rule[s.T] <= 1e-2 * s.quad_error, (s.T, rule[s.T] / s.quad_error)
+
     def test_deterministic_repeat(self):
         grid = [TWO_PI * 50.0, TWO_PI * 120.0]
         a = integrate_mean(1.0, grid, weighted=False)
@@ -204,7 +222,7 @@ class TestIntegrateMean:
             assert _blas_count() == before, chunk_terms
 
     def test_thread_budget_keeps_the_bits(self, monkeypatch):
-        # to 2pi 2e4 (N <= 141) the runs from N ~ 65 are large enough to fold
+        # to 2pi 2e4 (N <= 141) the runs from N = 86 are large enough to fold
         # on the stream's workers: every sample is bit-equal at 1, 2 and 3
         # threads, and a stream with no large run starts no thread
         grid = [TWO_PI * 3.3, TWO_PI * 2000.0, TWO_PI * 1.0e4, TWO_PI * 2.0e4]
