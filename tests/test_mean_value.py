@@ -454,13 +454,17 @@ class TestFoldRun:
     def test_second_fold_maps_few_pages(self):
         # the second fold of a run on one workspace faults in a small share of
         # the pages of the first, which maps the buffers.  In a fresh
-        # interpreter, so that free heap left by other tests cannot hide them
+        # interpreter, so that free heap left by other tests cannot hide them.
+        # Twice the rule's panels (about 4000), so that the buffers' pages
+        # (about 430) outweigh the 45-65 that each fold's own phase tables
+        # fault in whatever the workspace; at the rule's 2006 panels the
+        # first fold reads 183-239 pages against them
         script = (
             "import math, resource\n"
             "from auxzeta import mean_value as mv\n"
             "N = 60\n"
             "lo, hi = 2 * math.pi * N * N, 2 * math.pi * (N + 1) ** 2\n"
-            "k = math.ceil((hi - lo) / mv.panel_width(hi))\n"
+            "k = 2 * math.ceil((hi - lo) / mv.panel_width(hi))\n"
             "ws, faults = {}, []\n"
             "with mv._ONE_BLAS_THREAD:\n"
             "    for _ in range(2):\n"
