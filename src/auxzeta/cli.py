@@ -31,7 +31,7 @@ from . import __version__, acceptance, bound_checks, laplace, mean_value, predic
 from .aux_eval import eval_aux
 from .cache import EvalCache
 from .config import RunConfig, config_to_dict, load_config
-from .errors import AuxZetaError
+from .errors import AuxZetaError, ConfigError
 
 
 @dataclass
@@ -136,6 +136,8 @@ def cmd_meanvalue(ctx: RunContext) -> tuple[list[list], int, int]:
 def cmd_laplace(ctx: RunContext) -> tuple[list[list], int, int]:
     """Transform-ratio scans per sigma over the configured epsilon grid."""
     cfg = ctx.config
+    if any(sigma >= 0.5 for sigma in cfg.sigma_list):
+        raise ConfigError(f"laplace requires sigma_list values below 1/2, got {cfg.sigma_list}")
     rows, n_evals = [], 0
     for sigma in cfg.sigma_list if cfg.epsilon_grid else []:  # one stream at a time
         scan = laplace.laplace_ratio_scan(sigma, list(cfg.epsilon_grid), ctx.threads)
@@ -242,12 +244,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("--criteria applies to verify only")
         cfg = load_config(args.config) if args.config else RunConfig().validate()
         # each named criterion runs once, however often it is named
-        criteria = (sorted({int(x) for x in args.criteria.split(",")})
-                    if args.criteria else None)
-        unknown = sorted(set(criteria or ()) - set(acceptance.CRITERIA))
-        if unknown:
-            raise ValueError(f"no criterion {unknown}; criteria are numbered "
-                             f"{min(acceptance.CRITERIA)}-{max(acceptance.CRITERIA)}")
+        names = {x.strip() for x in args.criteria.split(",")} if args.criteria else set()
+        if not names <= {str(n) for n in acceptance.CRITERIA}:
+            raise ValueError(f"--criteria takes criterion numbers {min(acceptance.CRITERIA)}-"
+                             f"{max(acceptance.CRITERIA)}, got {args.criteria!r}")
+        criteria = sorted(int(x) for x in names) or None
         ctx = RunContext(config=cfg, out_dir=args.out, threads=args.threads,
                          cache=EvalCache(args.cache) if args.cache else None,
                          criteria=criteria)

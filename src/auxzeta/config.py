@@ -13,8 +13,8 @@ produce byte-identical result files regardless of the thread budget.
 Recognized keys (all optional, defaults in parentheses):
 
     sigma_list    floats in [-25, 25]             (0.0)
-    t_grid        floats: point-evaluation grid   (empty)
-    T_grid        floats: moment upper limits     (empty)
+    t_grid        positive floats: point grid     (empty)
+    T_grid        floats >= 2 pi: moment limits   (empty)
     epsilon_grid  positive floats, descending     (0.05, 0.02, 0.01)
     weighted      true/false                      (true)
     seed          int                             (20250808)
@@ -32,12 +32,18 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
-_FLOAT_LIST_KEYS = {"sigma_list", "t_grid", "T_grid", "epsilon_grid"}
-_ALL_KEYS = _FLOAT_LIST_KEYS | {"weighted", "seed"}
 # every command runs every sigma in this range: `lemmas` forms x^{-2 sigma}
 # up to x = 1e6, which leaves binary64 from |sigma| = 25.7 (the stream's
 # weight (t/2pi)^sigma leaves it near |sigma| = 48 at the pair budget)
 _SIGMA_LIMIT = 25.0
+# float-list key -> the finite values its one consumer runs
+_FLOAT_LIST_RULES = {
+    "sigma_list": (f"in [-{_SIGMA_LIMIT:g}, {_SIGMA_LIMIT:g}]", lambda v: abs(v) <= _SIGMA_LIMIT),
+    "t_grid": ("positive", lambda v: v > 0.0),
+    "T_grid": ("at least 2*pi", lambda v: v >= 2.0 * math.pi),
+    "epsilon_grid": ("positive", lambda v: v > 0.0),
+}
+_ALL_KEYS = set(_FLOAT_LIST_RULES) | {"weighted", "seed"}
 
 
 @dataclass(frozen=True)
@@ -50,15 +56,10 @@ class RunConfig:
     seed: int = 20250808
 
     def validate(self) -> "RunConfig":
-        for name in sorted(_FLOAT_LIST_KEYS):
+        for name, (rule, ok) in _FLOAT_LIST_RULES.items():
             grid = getattr(self, name)
-            if not all(math.isfinite(v) for v in grid):
-                raise ConfigError(f"{name} values must be finite, got {grid}")
-        if any(abs(v) > _SIGMA_LIMIT for v in self.sigma_list):
-            raise ConfigError(f"sigma_list values must lie in [-{_SIGMA_LIMIT:g}, "
-                              f"{_SIGMA_LIMIT:g}], got {self.sigma_list}")
-        if any(v <= 0.0 for v in self.epsilon_grid):
-            raise ConfigError(f"epsilon_grid values must be positive, got {self.epsilon_grid}")
+            if not all(math.isfinite(v) and ok(v) for v in grid):
+                raise ConfigError(f"{name} values must be finite and {rule}, got {grid}")
         for name in ("t_grid", "T_grid"):
             grid = getattr(self, name)
             if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -71,7 +72,7 @@ class RunConfig:
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
-        if key in _FLOAT_LIST_KEYS:
+        if key in _FLOAT_LIST_RULES:
             if not raw:
                 return ()
             return tuple(float(p) for p in raw.split(","))

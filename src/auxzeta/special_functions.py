@@ -1,36 +1,31 @@
-"""Self-contained special functions: zeta, log-gamma, Riemann-Siegel theta.
+"""Special functions: zeta, log-gamma, Gamma, Riemann-Siegel theta.
 
-Everything here is binary64 with explicit error accounting.  The zeta
-evaluators use Euler-Maclaurin summation for Re s >= -1/2, log-gamma uses
-a shifted Stirling series for Re z > 0, and each public entry point
-returns an :class:`EvalResult` carrying a concrete absolute error bound
-alongside the value.  Outside its range an evaluator raises
-RangeExceededError; none of them applies a reflection formula.
-
-These routines serve as independent oracles for the contour evaluator
-and the mean-value engine, so they deliberately share no code with
-either.
+zeta is a binary64 Euler-Maclaurin sum for Re s >= -1/2 with explicit error
+accounting; log-gamma, Gamma and theta are mpmath's at 30 digits, rounded
+once.  Each public entry point returns an :class:`EvalResult` with a
+concrete absolute error bound, and raises RangeExceededError outside its
+range; none applies a reflection formula.  These routines are oracles for
+the contour evaluator and the mean-value engine, so they share no code
+with either.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath.ctx_mp import MPContext
 
 from .errors import PoleProximityError, QuadratureConvergenceError, RangeExceededError
 
 # Euler's constant, full binary64 precision (stored, not computed).
 EULER_GAMMA = 0.5772156649015329
 
-HALF_LOG_TWO_PI = 0.9189385332046727
-
 # 2pi for phase reductions; the binary64 value is 2.45e-16 short a turn
 TWO_PI_LONG = np.longdouble("6.283185307179586476925286766559")
 
-# Bernoulli numbers B_2, B_4, ..., B_28 as exact fractions evaluated in binary64.
+# Bernoulli numbers B_2, B_4, ..., B_26 as exact fractions evaluated in binary64.
 _BERNOULLI_2K = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -45,18 +40,20 @@ _BERNOULLI_2K = (
     854513.0 / 138.0,
     -236364091.0 / 2730.0,
     8553103.0 / 6.0,
-    -23749461029.0 / 870.0,
 )
-
-# Stirling series coefficients B_{2k} / ((2k-1) 2k) for log-gamma, k = 1..10.
-_STIRLING_COEFFS = tuple(b / ((2 * k - 1) * 2 * k)
-                         for k, b in enumerate(_BERNOULLI_2K[:10], start=1))
 
 _EM_CORRECTION_TERMS = 12
 _IM_RANGE_LIMIT = 1.0e5
 # nominal guard radius 1e-6, with representation slack so that s = 1 + 1e-6
 # itself (whose float gap to 1 is fractionally below 1e-6) stays evaluable
 _POLE_RADIUS = 1.0e-6 * (1.0 - 1.0e-6)
+
+# log-gamma, Gamma and theta: mpmath at 30 digits, rounded once to binary64
+# (_rounded), which moves a value by at most u |value|.  The 30-digit values
+# are within 1.2e-31 (1 + |value|) of 60-digit mpmath on Re z in [1e-8, 170],
+# |Im z| <= 1e5; _MP_MARGIN allows a thousand times that.
+_U = 2.0 ** -53
+_MP_MARGIN = 1.0e-28
 
 
 @dataclass(frozen=True)
@@ -163,66 +160,47 @@ def real_zeta(s: float) -> EvalResult:
     return EvalResult(r.value.real, r.abs_error_bound, r.terms_used)
 
 
-def _stirling_log_gamma(z: complex) -> complex:
-    """Asymptotic Stirling series; caller guarantees |z| is large enough."""
-    lz = cmath.log(z)
-    out = (z - 0.5) * lz - z + HALF_LOG_TWO_PI
-    zinv2 = 1.0 / (z * z)
-    term = 1.0 / z
-    for c in _STIRLING_COEFFS:
-        out += c * term
-        term *= zinv2
-    return out
+def _mp_context() -> MPContext:
+    """A fresh 30-digit context: mpmath raises ctx.prec inside its own
+    functions, so one context shared between threads would race."""
+    ctx = MPContext()
+    ctx.dps = 30
+    return ctx
+
+
+def _rounded(value: complex | float) -> EvalResult:
+    return EvalResult(value, _U * abs(value) + _MP_MARGIN * (1.0 + abs(value)), 0)
 
 
 def log_gamma(z: complex) -> EvalResult:
-    """Principal log Gamma for Re z > 0, relative error <= 1e-12.
-
-    Small arguments are shifted up by the recurrence before applying the
-    Stirling series, so the series always runs where it has converged far
-    below the target accuracy.
-    """
+    """log Gamma(z) for Re z > 0, continuous from the positive real axis
+    (mpmath's loggamma), within u |value| + 1e-28 (1 + |value|)."""
     z = complex(z)
     if z.real <= 0.0:
         raise RangeExceededError(f"log_gamma requires Re z > 0, got {z}")
-    shift = 0
-    zs = z
-    while abs(zs) < 9.5:
-        zs += 1.0
-        shift += 1
-    out = _stirling_log_gamma(zs)
-    if shift:
-        acc = 0.0 + 0.0j
-        for k in range(shift):
-            acc += cmath.log(z + k)
-        out -= acc
-    bound = 1e-13 * (1.0 + abs(out)) + 1e-15 * shift
-    return EvalResult(out, bound, len(_STIRLING_COEFFS) + shift)
+    return _rounded(complex(_mp_context().loggamma(z)))
 
 
 def gamma_real(x: float) -> EvalResult:
-    """Gamma for real x > 0.  PoleProximityError at the poles 0, -1, -2, ...;
-    RangeExceededError (from log_gamma) at any other x < 0."""
+    """Gamma for real x > 0 within u |value| + 1e-28 (1 + |value|).
+    PoleProximityError at the poles 0, -1, -2, ...; RangeExceededError at
+    any other x <= 0; OverflowError where Gamma leaves binary64 (x > 171.6)."""
     x = float(x)
     if x <= 0.0 and abs(x - round(x)) < 1e-12:
         raise PoleProximityError(f"Gamma pole at x = {x}")
-    lg = log_gamma(x)
-    value = math.exp(lg.value.real)
-    return EvalResult(value, abs(value) * (lg.abs_error_bound + 1e-14), lg.terms_used)
+    if not x > 0.0:
+        raise RangeExceededError(f"gamma_real requires x > 0, got {x}")
+    value = float(_mp_context().gamma(x))
+    if math.isinf(value):
+        raise OverflowError(f"Gamma({x}) exceeds binary64")
+    return _rounded(value)
 
 
 def riemann_siegel_theta(t: float) -> EvalResult:
-    """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi, for |t| <= 1e5.
-
-    Odd in t, entire on the real line; the phase that turns the critical
-    line into the real-valued Hardy function.
-    """
+    """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi for |t| <= 1e5,
+    within u |value| + 1e-28 (1 + |value|): odd in t, and the phase that
+    turns the critical line into the real-valued Hardy function."""
     t = float(t)
-    if t == 0.0:
-        return EvalResult(0.0, 0.0, 0)
     if abs(t) > _IM_RANGE_LIMIT:
         raise RangeExceededError(f"|t| = {abs(t)} exceeds {_IM_RANGE_LIMIT}")
-    lg = log_gamma(complex(0.25, 0.5 * t))
-    value = lg.value.imag - 0.5 * t * math.log(math.pi)
-    bound = lg.abs_error_bound + 1e-16 * abs(t) * math.log(max(abs(t), 2.0))
-    return EvalResult(value, bound, lg.terms_used)
+    return _rounded(float(_mp_context().siegeltheta(t)))

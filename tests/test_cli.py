@@ -355,6 +355,24 @@ class TestVerifyAndErrors:
         assert err.startswith("error: ") and key in err
         assert not os.path.exists(tmp_path / f"{command}.csv")
 
+    @pytest.mark.parametrize("command,text,flags,name", [
+        ("laplace", "sigma_list = 3\n", [], "sigma_list"),
+        ("laplace", "sigma_list = 0, 0.5\n", [], "sigma_list"),
+        ("meanvalue", "T_grid = 3\n", [], "T_grid"),
+        ("eval", "t_grid = -5\n", [], "t_grid"),
+        ("eval", "t_grid = 0, 30\n", [], "t_grid"),
+        ("verify", "", ["--criteria", "1,x"], "--criteria"),
+        ("verify", "", ["--criteria", "1,10"], "--criteria"),
+    ])
+    def test_accepted_value_that_cannot_run_names_its_key(self, tmp_path, capsys,
+                                                         command, text, flags, name):
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err, err
+        assert not os.path.exists(tmp_path / f"{command}.csv")
+
     def test_missing_config_file(self, tmp_path):
         assert main(["eval", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path)]) == 1

@@ -154,15 +154,47 @@ class TestTheta:
             -riemann_siegel_theta(-37.5).value, abs=1e-12)
 
     def test_against_independent_stirling(self):
+        # theta's bound plus the oracle's own roundoff, 4u t log t: the one
+        # check of theta that shares no code with mpmath
         for t in (5.0, 37.5, 100.0, 5000.0):
-            got = riemann_siegel_theta(t).value
+            got = riemann_siegel_theta(t)
             want = _stirling_theta_oracle(t)
-            assert got == pytest.approx(want, abs=1e-9), f"theta mismatch at t={t}"
+            tol = got.abs_error_bound + 4.0 * 2.0**-53 * t * math.log(t)
+            assert abs(got.value - want) <= tol, f"theta mismatch at t={t}"
 
     def test_monotone_beyond_ten(self):
         grid = np.linspace(10.0, 500.0, 200)
         vals = [riemann_siegel_theta(float(t)).value for t in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def _contract_cases():
+    # theta, then log_gamma on test_recurrence_grid's z and Im z = +-5e4,
+    # then gamma_real: each with its 50-digit mpmath reference
+    for t in (0.5, -0.5, 5.0, 37.5, 500.0, 1.0e4, 1.0e5):
+        yield pytest.param(lambda t=t: riemann_siegel_theta(t),
+                           lambda t=t: mpmath.siegeltheta(t), id=f"theta({t})")
+    for re in (0.1, 0.7, 2.3, 10.0):
+        for im in (-5.0e4, -50.0, -3.0, 0.0, 1.5, 50.0, 5.0e4):
+            z = complex(re, im)
+            yield pytest.param(lambda z=z: log_gamma(z),
+                               lambda z=z: mpmath.loggamma(mpmath.mpc(z)), id=f"log_gamma({z})")
+    for x in (0.3, 0.5, 5.0, 7.7, 20.0):
+        yield pytest.param(lambda x=x: gamma_real(x), lambda x=x: mpmath.gamma(x),
+                           id=f"gamma_real({x})")
+
+
+class TestBoundContract:
+    @pytest.mark.parametrize("call,reference", _contract_cases())
+    def test_error_within_bound_within_two_ulps(self, call, reference):
+        # the value is a 30-digit one rounded once, so its bound is honest
+        # and no wider than two ulps plus the 30-digit margin
+        got = call()
+        with mpmath.workdps(50):
+            err = float(abs(mpmath.mpmathify(got.value) - reference()))
+        size = abs(got.value)
+        assert err <= got.abs_error_bound, (err, got.abs_error_bound)
+        assert got.abs_error_bound <= 2.0 * math.ulp(size) + 1e-25 * (1.0 + size)
 
 
 class TestEulerGamma:
