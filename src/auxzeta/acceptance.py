@@ -250,7 +250,7 @@ def criterion_9() -> tuple[str, bool, list[str]]:
         for threads in (1, 8):
             out_dir = f"{tmp}/t{threads}"
             cli.run("meanvalue", cli.RunContext(
-                config=cfg.validate(), out_dir=out_dir, threads=threads, cache=None))
+                config=cfg, out_dir=out_dir, threads=threads, cache=None))
             with open(f"{out_dir}/meanvalue.csv", "rb") as fh:
                 outputs.append(fh.read())
     identical = outputs[0] == outputs[1]

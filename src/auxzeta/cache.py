@@ -15,7 +15,7 @@ an existing key with a different record is an integrity error, both on
 insert and on load, and so is a complete line that does not parse.  A
 final line without its newline is a record torn by an interrupted append:
 it is never loaded, and the file is cut back to its last complete line
-before the next append.
+when the cache is opened.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class EvalCache:
         self.path = path
         self._records: dict[tuple[str, str], AuxEval] = {}
         self._lock = threading.Lock()  # an instance may be shared between threads
-        self._torn_at: int | None = None  # length to cut the file back to
         data = b""
         if os.path.exists(path):
             with open(path, "rb") as fh:
@@ -81,8 +80,8 @@ class EvalCache:
                 fh.write(_HEADER)
             data = _HEADER
         complete = data.rfind(b"\n") + 1
-        if complete < len(data):
-            self._torn_at = complete
+        if complete < len(data):  # a torn final record
+            os.truncate(path, complete)
         for line in data[len(_HEADER):complete].decode("utf-8").splitlines():
             if not line.strip():
                 continue
@@ -112,8 +111,5 @@ class EvalCache:
                     raise CacheIntegrityError(f"conflicting insert for key {key}")
                 return
             self._records[key] = rec
-            if self._torn_at is not None:
-                os.truncate(self.path, self._torn_at)
-                self._torn_at = None
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(_to_line(rec) + "\n")

@@ -17,21 +17,22 @@ runner (`run`) serves every command in the `COMMANDS` table.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__, acceptance, bound_checks, laplace, mean_value, predictors
 from .aux_eval import eval_aux
 from .cache import EvalCache
-from .config import RunConfig, config_to_dict, load_config
-from .errors import AuxZetaError, ConfigError
+from .config import RunConfig, load_config
+from .errors import AuxZetaError, ConfigError, CoverageError
 
 
 @dataclass
@@ -43,22 +44,14 @@ class RunContext:
     criteria: list[int] | None = None  # verify only; None runs all nine
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
-    text = str(x)
-    if any(c in text for c in ',"\n'):  # quoted as RFC 4180 asks
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _write_csv(path: str, header: str, rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    # minimal quoting: only a field with a comma, a quote or a newline
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header.split(","))
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            out.writerow([("true" if v else "false") if isinstance(v, bool)
+                          else repr(v) if isinstance(v, float) else v for v in row])
 
 
 def _write_manifest(ctx: RunContext, command: str, wall: float,
@@ -67,7 +60,7 @@ def _write_manifest(ctx: RunContext, command: str, wall: float,
 
     manifest = {
         "command": command,
-        "config": config_to_dict(ctx.config),
+        "config": asdict(ctx.config),
         "threads": ctx.threads,
         "versions": {
             "python": sys.version.split()[0],
@@ -140,7 +133,11 @@ def cmd_laplace(ctx: RunContext) -> tuple[list[list], int, int]:
         raise ConfigError(f"laplace requires sigma_list values below 1/2, got {cfg.sigma_list}")
     rows, n_evals = [], 0
     for sigma in cfg.sigma_list if cfg.epsilon_grid else []:  # one stream at a time
-        scan = laplace.laplace_ratio_scan(sigma, list(cfg.epsilon_grid), ctx.threads)
+        try:
+            scan = laplace.laplace_ratio_scan(sigma, list(cfg.epsilon_grid), ctx.threads)
+        except CoverageError as exc:  # the tail envelope grows as 1/(1 - 2 sigma)
+            raise ConfigError(f"sigma_list value {sigma!r} is too close to 1/2 for laplace "
+                              f"at epsilon_grid {cfg.epsilon_grid}: {exc}") from exc
         n_evals += scan[0].n_evals  # each row carries its whole stream's count
         rows += [[r.sigma, r.epsilon, r.numeric, r.predicted, r.ratio, r.tail_bound]
                  for r in scan]
@@ -242,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("--cache applies to eval only")
         if args.criteria and args.command != "verify":
             raise ValueError("--criteria applies to verify only")
-        cfg = load_config(args.config) if args.config else RunConfig().validate()
+        cfg = load_config(args.config) if args.config else RunConfig()
         # each named criterion runs once, however often it is named
         names = {x.strip() for x in args.criteria.split(",")} if args.criteria else set()
         if not names <= {str(n) for n in acceptance.CRITERIA}:

@@ -6,13 +6,15 @@ Config files are flat key-value text::
     key = value
 
 Values are parsed by key: float lists are comma-separated finite numbers,
-booleans are ``true``/``false``.  Unknown keys are hard errors -- a typo
-must never silently fall back to a default.  Two runs with equal configurations
+the boolean is ``true`` or ``false``.  Unknown keys are hard errors -- a
+typo must never silently fall back to a default.  A ``RunConfig`` checks
+itself when built, however it is built.  Two runs with equal configurations
 produce byte-identical result files regardless of the thread budget.
 
 Recognized keys (all optional, defaults in parentheses):
 
-    sigma_list    floats in [-25, 25]             (0.0)
+    sigma_list    floats in [-25, 25], not within (0.0)
+                  5e-7 of 1/2 unless 1/2 itself
     t_grid        positive floats: point grid     (empty)
     T_grid        floats >= 2 pi: moment limits   (empty)
     epsilon_grid  positive floats, descending     (0.05, 0.02, 0.01)
@@ -28,17 +30,22 @@ truncated sum are the constants ``aux_eval.QUAD_REL`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConfigError
+from .special_functions import _POLE_RADIUS
 
 # every command runs every sigma in this range: `lemmas` forms x^{-2 sigma}
 # up to x = 1e6, which leaves binary64 from |sigma| = 25.7 (the stream's
 # weight (t/2pi)^sigma leaves it near |sigma| = 48 at the pair budget)
 _SIGMA_LIMIT = 25.0
-# float-list key -> the finite values its one consumer runs
+# float-list key -> the finite values its consumers run (sigma: also outside
+# the pole guard of zeta(2 sigma), which `meanvalue` and `lemmas` take)
 _FLOAT_LIST_RULES = {
-    "sigma_list": (f"in [-{_SIGMA_LIMIT:g}, {_SIGMA_LIMIT:g}]", lambda v: abs(v) <= _SIGMA_LIMIT),
+    "sigma_list": (f"in [-{_SIGMA_LIMIT:g}, {_SIGMA_LIMIT:g}], not within "
+                   f"{_POLE_RADIUS / 2.0:.1g} of 1/2 unless 1/2 itself",
+                   lambda v: abs(v) <= _SIGMA_LIMIT
+                   and not 0.0 < abs(2.0 * v - 1.0) < _POLE_RADIUS),
     "t_grid": ("positive", lambda v: v > 0.0),
     "T_grid": ("at least 2*pi", lambda v: v >= 2.0 * math.pi),
     "epsilon_grid": ("positive", lambda v: v > 0.0),
@@ -55,18 +62,16 @@ class RunConfig:
     weighted: bool = True
     seed: int = 20250808
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         for name, (rule, ok) in _FLOAT_LIST_RULES.items():
             grid = getattr(self, name)
             if not all(math.isfinite(v) and ok(v) for v in grid):
                 raise ConfigError(f"{name} values must be finite and {rule}, got {grid}")
-        for name in ("t_grid", "T_grid"):
+        for name, order in (("t_grid", "ascending"), ("T_grid", "ascending"),
+                            ("epsilon_grid", "descending")):
             grid = getattr(self, name)
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"{name} must be strictly ascending")
-        if any(b >= a for a, b in zip(self.epsilon_grid, self.epsilon_grid[1:])):
-            raise ConfigError("epsilon_grid must be strictly descending")
-        return self
+            if list(grid) != sorted(set(grid), reverse=order == "descending"):
+                raise ConfigError(f"{name} must be strictly {order}")
 
 
 def _parse_value(key: str, raw: str):
@@ -79,12 +84,8 @@ def _parse_value(key: str, raw: str):
         if key == "seed":
             return int(raw)
         # weighted, the one boolean key
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(raw)
-    except ValueError as exc:
+        return {"true": True, "false": False}[raw.lower()]
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
@@ -103,17 +104,9 @@ def parse_config(text: str) -> RunConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = _parse_value(key, raw)
-    return RunConfig(**seen).validate()
+    return RunConfig(**seen)
 
 
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    out = {}
-    for f in fields(config):
-        v = getattr(config, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out

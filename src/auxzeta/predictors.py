@@ -27,11 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath.ctx_mp import MPContext
-
 from .aux_eval import TWO_PI
 from .errors import RangeExceededError
-from .special_functions import EULER_GAMMA, gamma_real, real_zeta
+from .special_functions import EULER_GAMMA, _mp_context, gamma_real, real_zeta
 
 CRITICAL_CONSTANT_DERIVED = 2.0 * (3.0 * EULER_GAMMA - 1.0) / 9.0
 CRITICAL_CONSTANT_ALTERNATE = 2.0 * (3.0 * EULER_GAMMA - 4.0) / 9.0
@@ -133,14 +131,13 @@ def predict_laplace_unweighted(sigma: float, epsilon: float) -> float:
 
 def exp_poly_integral(a: float, epsilon: float) -> float:
     """int_1^inf t^a e^{-eps t} dt = eps^{-1-a} Gamma(1+a, eps) for a > 0 and
-    eps > 0: the upper incomplete gamma at 30 digits in a private mpmath
-    context, rounded once to binary64 (within an ulp), so criterion 6
-    calibrates the Laplace node sum against an exact target."""
+    eps > 0: the upper incomplete gamma in a fresh `_mp_context` (30 digits),
+    rounded once to binary64 (within an ulp), so criterion 6 calibrates the
+    Laplace node sum against an exact target."""
     if not a > 0.0:
         raise ValueError("requires a > 0")
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    ctx = MPContext()
-    ctx.dps = 30
+    ctx = _mp_context()
     power = 1 + ctx.mpf(a)
     return float(ctx.gammainc(power, ctx.mpf(epsilon)) / ctx.mpf(epsilon) ** power)

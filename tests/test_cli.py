@@ -13,11 +13,12 @@ import auxzeta
 from auxzeta.aux_eval import eval_aux
 from auxzeta.bound_checks import PRODUCT_KIND, QUOTIENT_KIND, double_sum_growth
 from auxzeta.cache import FORMAT_TAG
-from auxzeta.cli import main
+from auxzeta.cli import COMMANDS, main
 from auxzeta.mean_value import integrate_mean
 from auxzeta.special_functions import real_zeta
 
 TWO_PI = 2.0 * math.pi
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
 def _write(path, text):
@@ -232,6 +233,13 @@ class TestLaplaceCmd:
         streams = [integrate_mean(sigma, [1200.0], True)[0].n_evals for sigma in (-1.0, 0.0)]
         assert n == sum(streams) > 0
 
+    def test_sigma_below_tail_limit_runs(self, tmp_path):
+        # the tail envelope's 1/(1 - 2 sigma) still fits the default eps grid
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, "sigma_list = 0.43\n")
+        assert main(["laplace", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert len(_read(tmp_path / "laplace.csv").decode().splitlines()) == 4
+
 
 class TestLemmasCmd:
     def test_schema_and_ratios(self, tmp_path):
@@ -343,6 +351,7 @@ class TestVerifyAndErrors:
     @pytest.mark.parametrize("command", ["eval", "meanvalue", "laplace", "lemmas", "verify"])
     @pytest.mark.parametrize("key,value", [
         ("sigma_list", "400"), ("sigma_list", "-400"), ("sigma_list", "1e300"),
+        ("sigma_list", "0.4999999"), ("sigma_list", "0.5000001"),
         ("epsilon_grid", "-0.05"), ("epsilon_grid", "0"),
     ])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, command, key, value):
@@ -358,6 +367,7 @@ class TestVerifyAndErrors:
     @pytest.mark.parametrize("command,text,flags,name", [
         ("laplace", "sigma_list = 3\n", [], "sigma_list"),
         ("laplace", "sigma_list = 0, 0.5\n", [], "sigma_list"),
+        ("laplace", "sigma_list = 0.45\n", [], "sigma_list"),
         ("meanvalue", "T_grid = 3\n", [], "T_grid"),
         ("eval", "t_grid = -5\n", [], "t_grid"),
         ("eval", "t_grid = 0, 30\n", [], "t_grid"),
@@ -376,3 +386,11 @@ class TestVerifyAndErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["eval", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path)]) == 1
+
+
+def test_readme_csv_schemas_match_commands():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text[text.index("CSV schemas:"):].split("\n\n")[1]
+    assert [line.split() for line in block.splitlines()] == \
+        [[f"{name}.csv", header] for name, (_, header) in COMMANDS.items()]

@@ -81,6 +81,8 @@ seed = 99
     @pytest.mark.parametrize("line,key", [
         ("sigma_list = 0, 25.5", "sigma_list"), ("sigma_list = -400", "sigma_list"),
         ("epsilon_grid = 0.05, 0", "epsilon_grid"), ("epsilon_grid = -0.05", "epsilon_grid"),
+        # inside the pole guard of zeta(2 sigma), 0 < |2 sigma - 1| < _POLE_RADIUS
+        ("sigma_list = 0.4999999", "sigma_list"), ("sigma_list = 0.5000001", "sigma_list"),
     ])
     def test_out_of_range_value(self, line, key):
         with pytest.raises(ConfigError, match=key):
@@ -88,6 +90,14 @@ seed = 99
 
     def test_sigma_range_edges_accepted(self):
         assert parse_config("sigma_list = -25, 25").sigma_list == (-25.0, 25.0)
+        # 1/2 itself, and 1/2 +- 1e-6 just outside the pole guard of zeta(2 sigma)
+        cfg = parse_config("sigma_list = 0.499999, 0.5, 0.500001")
+        assert cfg.sigma_list == (0.499999, 0.5, 0.500001)
+
+    @pytest.mark.parametrize("value", ["yes", "1", "no", "0"])
+    def test_boolean_is_true_or_false_only(self, value):
+        with pytest.raises(ConfigError, match="weighted"):
+            parse_config(f"weighted = {value}")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -95,9 +105,13 @@ seed = 99
 
     def test_overrides_validate(self):
         with pytest.raises(ConfigError):
-            replace(RunConfig(), t_grid=(60.0, 20.0)).validate()
+            replace(RunConfig(), t_grid=(60.0, 20.0))
         with pytest.raises(ConfigError):
-            replace(RunConfig(), epsilon_grid=(0.01, 0.05)).validate()
+            replace(RunConfig(), epsilon_grid=(0.01, 0.05))
+
+    def test_direct_construction_validates(self):
+        with pytest.raises(ConfigError, match="sigma_list"):
+            RunConfig(sigma_list=(float("nan"),))
 
 
 def _rec(sigma, t, method="MainSum", value=1.0 + 2.0j, bound=1e-9):
@@ -191,6 +205,8 @@ class TestEvalCache:
         assert len(cache) == 1
         assert cache.lookup(r2.s) is None
         assert cache.lookup(r1.s) == r1
+        # cut back to the last complete line on opening, with nothing inserted
+        assert path.read_text() == FORMAT_TAG + "\n" + _line(r1) + "\n"
 
     def test_append_after_torn_line_cuts_it_off(self, tmp_path):
         path = tmp_path / "cache.txt"
