@@ -147,7 +147,7 @@ def criterion_6() -> tuple[str, bool, list[str]]:
 
     eps_grid = [0.05, 0.02, 0.01]
     for sigma in (0.0, -1.0):
-        rows = laplace.laplace_ratio_scan(sigma, eps_grid)
+        rows = laplace.laplace_ratio_scan(sigma, eps_grid, True)
         gaps = [abs(r.ratio - 1.0) for r in rows]
         for r, g in zip(rows, gaps):
             details.append(f"sigma={sigma:+.0f} eps={r.epsilon}: ratio={r.ratio:.4f}"

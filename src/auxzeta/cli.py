@@ -6,12 +6,12 @@ verification fails, 1 on operational errors.  Floats are serialized with
 repr, the shortest decimal that round-trips binary64, so re-parsing and
 re-emitting a file reproduces it byte for byte.
 
-`eval` evaluates its grid points in grid order; `meanvalue` and
-`laplace` run one stream per sigma in turn, each on the whole thread
-budget, the one consumer of `--threads`.  Rows are always emitted in
-configuration order and every CSV, manifest and cache append is written by
-the main thread, so the thread budget never changes their bytes.  One
-runner (`run`) serves every command in the `COMMANDS` table.
+`eval` evaluates its grid points in grid order; `meanvalue` and `laplace`
+run one stream per sigma in turn, of the moment `weighted` names, each on
+the whole thread budget, the one consumer of `--threads`.  Rows are always
+emitted in configuration order and every CSV, manifest and cache append is
+written by the main thread, so the thread budget never changes their
+bytes.  One runner (`run`) serves every command in the `COMMANDS` table.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import __version__, acceptance, bound_checks, laplace, mean_value, predic
 from .aux_eval import eval_aux
 from .cache import EvalCache
 from .config import RunConfig, load_config
-from .errors import AuxZetaError, ConfigError, CoverageError
+from .errors import AuxZetaError, BudgetExceededError, ConfigError, CoverageError
 
 
 @dataclass
@@ -129,15 +129,13 @@ def cmd_meanvalue(ctx: RunContext) -> tuple[list[list], int, int]:
 def cmd_laplace(ctx: RunContext) -> tuple[list[list], int, int]:
     """Transform-ratio scans per sigma over the configured epsilon grid."""
     cfg = ctx.config
-    if any(sigma >= 0.5 for sigma in cfg.sigma_list):
-        raise ConfigError(f"laplace requires sigma_list values below 1/2, got {cfg.sigma_list}")
     rows, n_evals = [], 0
     for sigma in cfg.sigma_list if cfg.epsilon_grid else []:  # one stream at a time
         try:
-            scan = laplace.laplace_ratio_scan(sigma, list(cfg.epsilon_grid), ctx.threads)
-        except CoverageError as exc:  # the tail envelope grows as 1/(1 - 2 sigma)
-            raise ConfigError(f"sigma_list value {sigma!r} is too close to 1/2 for laplace "
-                              f"at epsilon_grid {cfg.epsilon_grid}: {exc}") from exc
+            scan = laplace.laplace_ratio_scan(sigma, cfg.epsilon_grid, cfg.weighted, ctx.threads)
+        except (BudgetExceededError, CoverageError) as exc:  # the reach the grid needs
+            raise ConfigError(f"epsilon_grid {cfg.epsilon_grid} cannot run laplace "
+                              f"at sigma {sigma!r}: {exc}") from exc
         n_evals += scan[0].n_evals  # each row carries its whole stream's count
         rows += [[r.sigma, r.epsilon, r.numeric, r.predicted, r.ratio, r.tail_bound]
                  for r in scan]

@@ -1,11 +1,11 @@
-"""Piecewise asymptotic main terms for the second moments, plus the
-Laplace-transform predictors.
+"""Piecewise asymptotic main terms for the second moments, and their
+Laplace transforms.
 
 Every prediction is returned as explicit (coefficient, power of T/2pi,
 log power) main terms together with the exponent of T in the error term,
-so callers can form scaled residuals uniformly.  Each table is one chain of
-sigma comparisons whose edges follow the closed/open inequalities of the
-asymptotic tables:
+so callers can form scaled residuals and Laplace transforms uniformly.
+Each table is one chain of sigma comparisons whose edges follow the
+closed/open inequalities of the asymptotic tables:
 
     weighted:   sigma <= 1/4 | 1/4 < sigma < 1/2 | sigma = 1/2
                 | 1/2 < sigma < 1 | 1 <= sigma <= 2 | sigma > 2
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 from .aux_eval import TWO_PI
-from .errors import RangeExceededError
 from .special_functions import EULER_GAMMA, _mp_context, gamma_real, real_zeta
 
 CRITICAL_CONSTANT_DERIVED = 2.0 * (3.0 * EULER_GAMMA - 1.0) / 9.0
@@ -55,6 +54,19 @@ class Prediction:
         x = T / TWO_PI
         lx = math.log(x)
         return sum(c * x**p * lx**q for (c, p, q) in self.main_terms)
+
+    def laplace(self, epsilon: float) -> float:
+        """int_0^inf e^{-eps T} dF of F = T * sum, term by term, with x = T/2pi
+        and the tables' q in {0, 1} (q = 1 is the derivative in p):
+
+            eps int_0^inf e^{-eps T} 2pi c x^{p+1} (log x)^q dT
+                = c (2pi)^{-p} Gamma(p+2) eps^{-p-1} L^q,  L = psi(p+2) - log(2pi eps)."""
+        if not epsilon > 0.0:
+            raise ValueError("epsilon must be positive")
+        return sum(c * TWO_PI ** -p * gamma_real(p + 2.0).value * epsilon ** (-p - 1.0)
+                   * (float(_mp_context().digamma(p + 2.0)) - math.log(TWO_PI * epsilon)
+                      if q else 1.0)
+                   for c, p, q in self.main_terms)
 
 
 def predict_weighted(sigma: float) -> Prediction:
@@ -106,27 +118,13 @@ def predict_unweighted(sigma: float) -> Prediction:
 
 
 def predict_laplace_weighted(sigma: float, epsilon: float) -> float:
-    """(2 eps)^{-3/2} / (1 - 2 sigma): the eps -> 0+ main term of the
-    weighted moment's Laplace transform, valid for sigma < 1/2."""
-    if sigma >= 0.5:
-        raise RangeExceededError("Laplace predictor requires sigma < 1/2")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-    return (2.0 * epsilon) ** -1.5 / (1.0 - 2.0 * sigma)
+    """The weighted table's Laplace transform at epsilon."""
+    return predict_weighted(sigma).laplace(epsilon)
 
 
 def predict_laplace_unweighted(sigma: float, epsilon: float) -> float:
-    """(1/2eps) (2 pi eps)^{sigma-1/2} Gamma(1/2 - sigma), sigma < 1/2.
-
-    At sigma = 0 the constant weight makes this coincide exactly with the
-    weighted predictor.
-    """
-    if sigma >= 0.5:
-        raise RangeExceededError("Laplace predictor requires sigma < 1/2")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-    return (0.5 / epsilon) * (TWO_PI * epsilon) ** (sigma - 0.5) \
-        * gamma_real(0.5 - sigma).value
+    """The unweighted table's Laplace transform at epsilon."""
+    return predict_unweighted(sigma).laplace(epsilon)
 
 
 def exp_poly_integral(a: float, epsilon: float) -> float:

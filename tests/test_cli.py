@@ -15,6 +15,7 @@ from auxzeta.bound_checks import PRODUCT_KIND, QUOTIENT_KIND, double_sum_growth
 from auxzeta.cache import FORMAT_TAG
 from auxzeta.cli import COMMANDS, main
 from auxzeta.mean_value import integrate_mean
+from auxzeta.predictors import predict_laplace_unweighted
 from auxzeta.special_functions import real_zeta
 
 TWO_PI = 2.0 * math.pi
@@ -234,11 +235,36 @@ class TestLaplaceCmd:
         assert n == sum(streams) > 0
 
     def test_sigma_below_tail_limit_runs(self, tmp_path):
-        # the tail envelope's 1/(1 - 2 sigma) still fits the default eps grid
+        # just below 1/2, where the table's zeta(2 sigma) term is large and negative
         cfg = tmp_path / "cfg.txt"
         _write(cfg, "sigma_list = 0.43\n")
         assert main(["laplace", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert len(_read(tmp_path / "laplace.csv").decode().splitlines()) == 4
+
+    @pytest.mark.parametrize("weighted", ["true", "false"])
+    @pytest.mark.parametrize("sigmas", ["-25", "0, 0.5", "0.45", "0.5", "0.75", "3", "25"])
+    def test_every_sigma_runs(self, tmp_path, sigmas, weighted):
+        # the reach follows the proven tail bound, so every row holds the
+        # tail check on the default eps grid
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, f"sigma_list = {sigmas}\nweighted = {weighted}\n")
+        assert main(["laplace", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = list(csv.DictReader(_read(tmp_path / "laplace.csv").decode().splitlines()))
+        assert len(rows) == 3 * len(sigmas.split(","))
+        assert all(float(r["tail_bound"]) <= 1e-15 * float(r["numeric"]) for r in rows)
+
+    def test_unweighted_run_takes_unweighted_table(self, tmp_path):
+        # at sigma = -1 the two transforms differ; each row predicts from
+        # the table its weight names
+        for weighted in ("true", "false"):
+            cfg = tmp_path / f"{weighted}.txt"
+            _write(cfg, f"sigma_list = -1\nweighted = {weighted}\n")
+            assert main(["laplace", "--config", str(cfg), "--out", str(tmp_path / weighted)]) == 0
+        unweighted = _read(tmp_path / "false" / "laplace.csv")
+        assert unweighted != _read(tmp_path / "true" / "laplace.csv")
+        rows = list(csv.DictReader(unweighted.decode().splitlines()))
+        assert [float(r["predicted"]) for r in rows] == \
+            [predict_laplace_unweighted(-1.0, float(r["epsilon"])) for r in rows]
 
 
 class TestLemmasCmd:
@@ -365,9 +391,7 @@ class TestVerifyAndErrors:
         assert not os.path.exists(tmp_path / f"{command}.csv")
 
     @pytest.mark.parametrize("command,text,flags,name", [
-        ("laplace", "sigma_list = 3\n", [], "sigma_list"),
-        ("laplace", "sigma_list = 0, 0.5\n", [], "sigma_list"),
-        ("laplace", "sigma_list = 0.45\n", [], "sigma_list"),
+        ("laplace", "epsilon_grid = 1e-7\n", [], "epsilon_grid"),
         ("meanvalue", "T_grid = 3\n", [], "T_grid"),
         ("eval", "t_grid = -5\n", [], "t_grid"),
         ("eval", "t_grid = 0, 30\n", [], "t_grid"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from auxzeta.aux_eval import n_main_terms
+from auxzeta.bound_checks import _GLX8
 from auxzeta.errors import CoverageError
 from auxzeta.laplace import (DEFAULT_EPS_TMAX, LaplaceScanRow, MomentStream,
                              laplace_numeric, laplace_ratio_scan,
@@ -73,25 +74,44 @@ class TestLaplaceNumeric:
             assert abs(got - want) <= 1e-12 * want, (eps, got, want)
 
 
+def _node_transform(eps, stream):
+    """sum of e^{-eps t} dF over the stream's nodes, with no coverage guard"""
+    return math.fsum(
+        float(np.sum(np.exp(-eps * (lo + h * (np.arange(len(dF))[:, None] + 0.5)
+                                    + 0.5 * h * _GLX8)) * dF))
+        for lo, h, dF in stream.runs)
+
+
 class TestTailBound:
     def test_decreases_with_coverage(self):
-        b1 = laplace_tail_bound(0.0, 0.05, 40.0 / 0.05)
-        b2 = laplace_tail_bound(0.0, 0.05, 42.0 / 0.05)
+        b1 = laplace_tail_bound(0.0, True, 0.05, 40.0 / 0.05)
+        b2 = laplace_tail_bound(0.0, True, 0.05, 42.0 / 0.05)
         assert b2 < b1
 
     def test_envelope_larger_than_true_tail(self):
-        # against the exact transform of the envelope's own power law
+        # weighted sigma = 0: |S|^2 <= t/2pi, whose tail from A is exactly
+        # e^{-eps A} (A/eps + 1/eps^2)/2pi; the bound is within 1/(1 - 1/(eps A)^2)
         eps, t_max = 0.05, 42.0 / 0.05
-        coef = 2.0 * 2.0 / (3.0 * math.sqrt(2.0 * math.pi))
-        grid = np.linspace(t_max, t_max + 4000.0, 2000001)
-        true_tail = eps * coef / 2.0 * float(
-            np.trapezoid(grid**1.5 * np.exp(-eps * grid), grid))
-        assert laplace_tail_bound(0.0, eps, t_max) >= true_tail
+        exact = math.exp(-eps * t_max) * (t_max / eps + eps ** -2) / (2.0 * math.pi)
+        bound = laplace_tail_bound(0.0, True, eps, t_max)
+        assert exact <= bound <= 1.001 * exact
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.5, 2.0])
+    def test_bound_holds_on_measured_tail(self, sigma, weighted):
+        # the omitted mass past A, where it is far above roundoff, as the
+        # difference of a stream to A and one to 50/eps
+        eps = 0.05
+        full = _node_transform(eps, moment_stream(sigma, 50.0 / eps, weighted))
+        for y in (3.0, 6.0):
+            A = y / eps
+            omitted = full - _node_transform(eps, moment_stream(sigma, A, weighted))
+            assert 1e-6 * full < omitted <= laplace_tail_bound(sigma, weighted, eps, A)
 
 
 class TestRatioScan:
     def test_rows_and_tail_contract(self):
-        rows = laplace_ratio_scan(-1.0, [0.05])
+        rows = laplace_ratio_scan(-1.0, [0.05], True)
         assert len(rows) == 1
         row = rows[0]
         assert isinstance(row, LaplaceScanRow)
@@ -101,13 +121,15 @@ class TestRatioScan:
         assert 0.5 < row.ratio < 2.0
 
     def test_trivial_predicted_value(self):
-        rows = laplace_ratio_scan(-1.0, [0.5])
+        rows = laplace_ratio_scan(-1.0, [0.5], True)
         assert rows[0].predicted == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_grid_must_descend(self):
         with pytest.raises(ValueError):
-            laplace_ratio_scan(0.0, [0.01, 0.05])
+            laplace_ratio_scan(0.0, [0.01, 0.05], True)
 
-    def test_sigma_domain(self):
-        with pytest.raises(ValueError):
-            laplace_ratio_scan(0.5, [0.05])
+    def test_sigma_half_runs(self):
+        # the log terms' table and the proven tail: no sigma < 1/2 rule
+        rows = laplace_ratio_scan(0.5, [0.05], True)
+        assert rows[0].tail_bound <= 1e-15 * rows[0].numeric
+        assert 0.5 < rows[0].ratio < 2.0

@@ -6,7 +6,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from auxzeta.errors import RangeExceededError
 from auxzeta.predictors import (CRITICAL_CONSTANT_ALTERNATE,
                                 CRITICAL_CONSTANT_DERIVED, exp_poly_integral,
                                 predict_laplace_unweighted,
@@ -135,7 +134,8 @@ class TestLaplacePredictors:
             0.02**-1.5, rel=1e-15)
 
     def test_weighted_scaling_law(self):
-        for sigma in (-2.0, 0.0, 0.3):
+        # sigma <= 1/4: the square-root term alone (above, zeta(2 sigma) joins)
+        for sigma in (-2.0, 0.0):
             v1 = predict_laplace_weighted(sigma, 0.08)
             v2 = predict_laplace_weighted(sigma, 0.02)
             assert v2 == pytest.approx(8.0 * v1, rel=1e-13)
@@ -155,11 +155,34 @@ class TestLaplacePredictors:
         v2 = predict_laplace_unweighted(sigma, 0.025)
         assert v2 / v1 == pytest.approx(4.0 ** (1.5 - sigma), rel=1e-12)
 
-    def test_domain_guard(self):
-        with pytest.raises(RangeExceededError):
-            predict_laplace_weighted(0.5, 0.1)
-        with pytest.raises(RangeExceededError):
-            predict_laplace_unweighted(0.7, 0.1)
+    @pytest.mark.parametrize("sigma", [-2.0, -1.0, -0.5, 0.0, 0.2, 0.25])
+    def test_matches_closed_forms(self, sigma):
+        # below 1/4 each table is its square-root term, whose transform has
+        # a closed form
+        for eps in (0.5, 0.05, 0.02, 0.01, 0.003):
+            weighted = (2.0 * eps) ** -1.5 / (1.0 - 2.0 * sigma)
+            unweighted = (0.5 / eps) * (TWO_PI * eps) ** (sigma - 0.5) \
+                * math.gamma(0.5 - sigma)
+            assert predict_weighted(sigma).laplace(eps) == pytest.approx(weighted, rel=1e-15)
+            assert predict_unweighted(sigma).laplace(eps) == pytest.approx(
+                unweighted, rel=1e-15)
+
+    def test_critical_log_terms(self):
+        # sigma = 1/2: psi(5/2) = 8/3 - gamma - 2 log 2 and psi(2) = 1 - gamma
+        for eps in (0.05, 0.01):
+            L = 8.0 / 3.0 - EULER_GAMMA - 2.0 * math.log(2.0) - math.log(TWO_PI * eps)
+            weighted = TWO_PI ** -0.5 * math.gamma(2.5) * eps ** -1.5 \
+                * (L / 3.0 + CRITICAL_CONSTANT_DERIVED)
+            L = 1.0 - EULER_GAMMA - math.log(TWO_PI * eps)
+            unweighted = (0.5 * L + EULER_GAMMA - 0.5) / eps
+            assert predict_laplace_weighted(0.5, eps) == pytest.approx(weighted, rel=1e-15)
+            assert predict_laplace_unweighted(0.5, eps) == pytest.approx(unweighted, rel=1e-15)
+
+    def test_epsilon_must_be_positive(self):
+        for predict in (predict_laplace_weighted, predict_laplace_unweighted):
+            for eps in (0.0, -0.5):
+                with pytest.raises(ValueError):
+                    predict(0.5, eps)
 
 
 class TestExpPolyIntegral:
