@@ -19,7 +19,7 @@ import numpy as np
 from . import aux_eval, bound_checks, laplace, mean_value, predictors
 from .aux_eval import TWO_PI
 from .config import RunConfig
-from .special_functions import EULER_GAMMA, complex_zeta
+from .special_functions import complex_zeta
 
 
 @dataclass
@@ -55,18 +55,14 @@ def criterion_2() -> tuple[str, bool, list[str]]:
     """Weighted sigma=0 moment: scaled residual non-increasing, 5% at top."""
     grid = [TWO_PI * 1.0e3, TWO_PI * 4.0e3, TWO_PI * 1.0e4]
     samples = mean_value.integrate_mean(0.0, grid, weighted=True)
-    scaled = []
-    details = []
-    for s in samples:
-        main = (2.0 / 3.0) * math.sqrt(s.T / TWO_PI)
-        sc = abs(s.value - main) * s.T ** -0.25
-        scaled.append(sc)
-        details.append(f"T/2pi={s.T / TWO_PI:.0f}: value={s.value:.4f} "
-                       f"main={main:.4f} scaled_resid={sc:.4f}")
+    pred = predictors.predict_weighted(0.0)
+    mains = [pred.evaluate(s.T) for s in samples]
+    scaled = [abs(s.value - m) / pred.residual_scale(s.T) for s, m in zip(samples, mains)]
+    details = [f"T/2pi={s.T / TWO_PI:.0f}: value={s.value:.4f} "
+               f"main={m:.4f} scaled_resid={sc:.4f}" for s, m, sc in zip(samples, mains, scaled)]
     monotone = all(b <= a + 1e-12 for a, b in zip(scaled, scaled[1:]))
     bounded = max(scaled) <= 1.0
-    top = samples[-1]
-    main_top = (2.0 / 3.0) * math.sqrt(top.T / TWO_PI)
+    top, main_top = samples[-1], mains[-1]
     within5 = abs(top.value - main_top) <= 0.05 * main_top
     details.append(f"monotone={monotone} bounded={bounded} "
                    f"top value {top.value:.4f} vs {main_top:.4f} "
@@ -102,16 +98,15 @@ def criterion_3() -> tuple[str, bool, list[str]]:
 
 def criterion_4() -> tuple[str, bool, list[str]]:
     """Unweighted sigma=2 convergence to zeta(4) at rate 10/T."""
-    target = math.pi**4 / 90.0
     grid = [TWO_PI * x for x in (1.0e3, 2.0e3, 4.0e3, 1.0e4)]
     samples = mean_value.integrate_mean(2.0, grid, weighted=False)
+    pred = predictors.predict_unweighted(2.0)
     details, ok = [], True
     for s in samples:
-        gap = abs(s.value - target)
-        allowed = 10.0 / s.T
-        good = gap <= allowed
+        scaled = abs(s.value - pred.evaluate(s.T)) / pred.residual_scale(s.T)
+        good = scaled <= 10.0
         ok &= good
-        details.append(f"T/2pi={s.T / TWO_PI:.0f}: |value-zeta(4)|*T = {gap * s.T:.4f}"
+        details.append(f"T/2pi={s.T / TWO_PI:.0f}: |value-zeta(4)|*T = {scaled:.4f}"
                        f" (allowed 10)" + ("" if good else "  <-- FAIL"))
     return "unweighted sigma=2: |value - pi^4/90| <= 10/T", ok, details
 
@@ -120,13 +115,13 @@ def criterion_5() -> tuple[str, bool, list[str]]:
     """Unweighted sigma=1/2: scaled residual bounded on the grid."""
     grid = [TWO_PI * x for x in (1.0e3, 2.0e3, 3.0e3, 5.0e3, 7.0e3, 1.0e4)]
     samples = mean_value.integrate_mean(0.5, grid, weighted=False)
+    pred = predictors.predict_unweighted(0.5)
     details, scaled = [], []
     for s in samples:
-        main = 0.5 * math.log(s.T / TWO_PI) + (EULER_GAMMA - 0.5)
-        sc = abs(s.value - main) * s.T**0.25 / math.sqrt(math.log(s.T))
-        scaled.append(sc)
+        main = pred.evaluate(s.T)
+        scaled.append(abs(s.value - main) / pred.residual_scale(s.T))
         details.append(f"T/2pi={s.T / TWO_PI:.0f}: value={s.value:.6f} "
-                       f"main={main:.6f} scaled={sc:.4f}")
+                       f"main={main:.6f} scaled={scaled[-1]:.4f}")
     ok = max(scaled) <= 1.0
     details.append(f"max scaled residual = {max(scaled):.4f} (bound 1.0)")
     return "unweighted sigma=1/2 scaled residual bounded", ok, details

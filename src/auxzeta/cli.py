@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import resource
 import sys
@@ -118,11 +117,8 @@ def cmd_meanvalue(ctx: RunContext) -> tuple[list[list], int, int]:
         for s in samples:
             main = pred.evaluate(s.T)
             resid = s.value - main
-            scale = s.T ** pred.error_exponent
-            if pred.log_factor_in_error:
-                scale *= math.sqrt(math.log(s.T))
             rows.append([s.sigma, s.T, s.weighted, s.value, main, resid,
-                         resid / scale, s.quad_error, s.n_evals])
+                         resid / pred.residual_scale(s.T), s.quad_error, s.n_evals])
     return rows, n_evals, 0
 
 

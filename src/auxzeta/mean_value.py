@@ -50,7 +50,7 @@ import numpy as np
 
 from .aux_eval import TWO_PI, TWO_PI_LONG, n_main_terms
 from .bound_checks import _GLW8, _GLX8, _U, _U_LD, _gl8_error, osc_integral
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CoverageError
 
 _PAIR_BUDGET_SQRT = 1500.0
 # complex values in each operand and the output of one tile's matrix
@@ -345,6 +345,8 @@ def integrate_mean(sigma: float, t_grid: list[float], weighted: bool, threads: i
 def moment_stream(sigma: float, T_max: float, weighted: bool, threads: int = 1
                   ) -> MomentStream:
     """The measure dF at every node of one pass up to T_max (for transforms)."""
+    if not T_max >= TWO_PI:  # S is empty below 2pi, where its first term enters
+        raise CoverageError(f"T_max = {T_max!r} is below 2*pi: the stream holds no term")
     return MomentStream(float(T_max), _stream(sigma, [float(T_max)], weighted, True, threads)[2])
 
 

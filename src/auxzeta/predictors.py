@@ -1,19 +1,23 @@
 """Piecewise asymptotic main terms for the second moments, and their
 Laplace transforms.
 
-Every prediction is returned as explicit (coefficient, power of T/2pi,
-log power) main terms together with the exponent of T in the error term,
-so callers can form scaled residuals and Laplace transforms uniformly.
-Each table is one chain of sigma comparisons whose edges follow the
-closed/open inequalities of the asymptotic tables:
+Each prediction holds explicit (coefficient, power of T/2pi, log power)
+main terms, the exponent of T in the error term and its `residual_scale`,
+so callers form scaled residuals and Laplace transforms uniformly.  Both
+tables are one chain in the weight exponent a (sigma weighted, 0 not),
+the main terms of sum_n n^{-2 sigma} int_{2pi n^2}^T (t/2pi)^a dt, x = T/2pi:
 
-    weighted:   sigma <= 1/4 | 1/4 < sigma < 1/2 | sigma = 1/2
-                | 1/2 < sigma < 1 | 1 <= sigma <= 2 | sigma > 2
-    unweighted: sigma <= 1/4 | 1/4 < sigma < 1/2 | sigma = 1/2
-                | 1/2 < sigma < 1 | sigma = 1 | 1 < sigma < 2 | sigma >= 2
+    sigma <= 1/4 | 1/4 < sigma < 1/2 | sigma = 1/2 | 1/2 < sigma < 1 | 1 <= sigma
+    root         | root + zeta       | critical    | zeta + root     | zeta
 
-The weighted critical-case constant admits two candidate values that
-differ by exactly 2/3; re-deriving the closed-form integral
+with root = 2 x^{1/2+(a-sigma)} / ((1-2 sigma)(3+2(a-sigma))), zeta =
+zeta(2 sigma) x^a/(a+1) and critical = x^a (log(x)/(2(a+1)) + c_a).  The
+error exponent is 1/4 + (a-sigma) to sigma = 1/2, a - sigma/2 below 2 and
+a - 1 from 2; it carries sqrt(log T) at 1/2, and at 1 when unweighted.
+
+c_0 = gamma - 1/2 and c_{1/2} are (gamma - 1/(2(a+1)))/(a+1).  The weighted
+c_{1/2} admits two candidate values that differ by exactly 2/3;
+re-deriving the closed-form integral
 
     int_0^U u^{1/2} (log(u)/2 + gamma) du = U^{3/2} (log(U)/3 + 2(3 gamma - 1)/9)
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .aux_eval import TWO_PI
 from .special_functions import EULER_GAMMA, _mp_context, gamma_real, real_zeta
@@ -55,6 +60,12 @@ class Prediction:
         lx = math.log(x)
         return sum(c * x**p * lx**q for (c, p, q) in self.main_terms)
 
+    def residual_scale(self, T: float) -> float:
+        """T to the error exponent, times sqrt(log T) where the O-term carries it:
+        (value - evaluate(T)) / residual_scale(T) is the scaled residual."""
+        scale = T ** self.error_exponent
+        return scale * math.sqrt(math.log(T)) if self.log_factor_in_error else scale
+
     def laplace(self, epsilon: float) -> float:
         """int_0^inf e^{-eps T} dF of F = T * sum, term by term, with x = T/2pi
         and the tables' q in {0, 1} (q = 1 is the derivative in p):
@@ -63,58 +74,46 @@ class Prediction:
                 = c (2pi)^{-p} Gamma(p+2) eps^{-p-1} L^q,  L = psi(p+2) - log(2pi eps)."""
         if not epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        return sum(c * TWO_PI ** -p * gamma_real(p + 2.0).value * epsilon ** (-p - 1.0)
-                   * (float(_mp_context().digamma(p + 2.0)) - math.log(TWO_PI * epsilon)
-                      if q else 1.0)
-                   for c, p, q in self.main_terms)
+        return sum(k * epsilon ** (-p - 1.0) * (psi - math.log(TWO_PI * epsilon) if q else 1.0)
+                   for k, p, q, psi in self._laplace_factors)
+
+    @cached_property
+    def _laplace_factors(self) -> tuple:
+        """Each term's (c (2pi)^{-p} Gamma(p+2), p, q, psi(p+2) or None), once a table."""
+        return tuple((c * TWO_PI ** -p * gamma_real(p + 2.0).value, p, q,
+                      float(_mp_context().digamma(p + 2.0)) if q else None)
+                     for c, p, q in self.main_terms)
+
+
+def _table(sigma: float, a: float) -> Prediction:
+    """Main terms of (1/T) int_1^T |R|^2 (t/2pi)^a dt; a - sigma stays grouped,
+    so the weighted table's exponents and its factor 3 are exact."""
+    def sqrt_term():
+        return (2.0 / ((1.0 - 2.0 * sigma) * (3.0 + 2.0 * (a - sigma))), 0.5 + (a - sigma), 0)
+
+    def zeta_term():
+        return (real_zeta(2.0 * sigma).value / (a + 1.0), a, 0)
+
+    if sigma < 0.5:  # square root alone to 1/4, then plus zeta
+        terms = (sqrt_term(),) if sigma <= 0.25 else (sqrt_term(), zeta_term())
+        return Prediction(terms, 0.25 + (a - sigma), False)
+    if sigma == 0.5:  # critical logarithm
+        const = CRITICAL_CONSTANT_DERIVED if a else EULER_GAMMA - 0.5
+        return Prediction(((0.5 / (a + 1.0), a, 1), (const, a, 0)), 0.25 + (a - sigma), True)
+    terms = (zeta_term(), sqrt_term()) if sigma < 1.0 else (zeta_term(),)
+    # the unweighted error carries a log at sigma = 1; both edges at 2 give a - 1
+    return Prediction(terms, a - 0.5 * sigma if sigma < 2.0 else a - 1.0,
+                      sigma == 1.0 and not a)
 
 
 def predict_weighted(sigma: float) -> Prediction:
-    """Main terms of (1/T) int_1^T |R(sigma+it)|^2 (t/2pi)^sigma dt, with
-    edges at sigma = 1/4, 1/2, 1 and 2; the sigma = 1/2 constant is the
-    derived 2(3g-1)/9."""
-    def sqrt_term():
-        return (2.0 / (3.0 * (1.0 - 2.0 * sigma)), 0.5, 0)
-
-    def zeta_term():
-        return (real_zeta(2.0 * sigma).value / (sigma + 1.0), sigma, 0)
-
-    if sigma <= 0.25:  # square root alone
-        return Prediction((sqrt_term(),), 0.25, False)
-    if sigma < 0.5:  # square root plus zeta
-        return Prediction((sqrt_term(), zeta_term()), 0.25, False)
-    if sigma == 0.5:  # critical logarithm
-        return Prediction(((1.0 / 3.0, 0.5, 1), (CRITICAL_CONSTANT_DERIVED, 0.5, 0)),
-                          0.25, True)
-    if sigma < 1.0:  # zeta plus square root
-        return Prediction((zeta_term(), sqrt_term()), 0.5 * sigma, False)
-    if sigma <= 2.0:  # zeta alone
-        return Prediction((zeta_term(),), 0.5 * sigma, False)
-    return Prediction((zeta_term(),), sigma - 1.0, False)  # zeta, wide error
+    """The weighted table, a = sigma; its sigma = 1/2 constant is the derived 2(3g-1)/9."""
+    return _table(sigma, sigma)
 
 
 def predict_unweighted(sigma: float) -> Prediction:
-    """Main terms of (1/T) int_1^T |R(sigma+it)|^2 dt, with edges at
-    sigma = 1/4, 1/2, 1 and 2; sigma = 1 is a case of its own."""
-    def sqrt_term():
-        return (2.0 / ((1.0 - 2.0 * sigma) * (3.0 - 2.0 * sigma)), 0.5 - sigma, 0)
-
-    def zeta_term():
-        return (real_zeta(2.0 * sigma).value, 0.0, 0)
-
-    if sigma <= 0.25:  # shifted square root alone
-        return Prediction((sqrt_term(),), 0.25 - sigma, False)
-    if sigma < 0.5:  # shifted square root plus zeta
-        return Prediction((sqrt_term(), zeta_term()), 0.25 - sigma, False)
-    if sigma == 0.5:  # critical logarithm
-        return Prediction(((0.5, 0.0, 1), (EULER_GAMMA - 0.5, 0.0, 0)), -0.25, True)
-    if sigma < 1.0:  # zeta plus shifted square root
-        return Prediction((zeta_term(), sqrt_term()), -0.5 * sigma, False)
-    if sigma == 1.0:  # zeta, logarithmic error
-        return Prediction((zeta_term(),), -0.5, True)
-    if sigma < 2.0:  # zeta alone
-        return Prediction((zeta_term(),), -0.5 * sigma, False)
-    return Prediction((zeta_term(),), -1.0, False)  # zeta, fast error
+    """The unweighted table, a = 0; sigma = 1 carries a log in its error."""
+    return _table(sigma, 0.0)
 
 
 def predict_laplace_weighted(sigma: float, epsilon: float) -> float:

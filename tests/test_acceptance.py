@@ -4,9 +4,11 @@ Each test prints the criterion's pass/fail line (run pytest with -s to see
 them live); details land in the captured output on failure.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from auxzeta import acceptance, mean_value
+from auxzeta import acceptance, mean_value, predictors
 from auxzeta.aux_eval import n_main_terms
 
 @pytest.mark.parametrize("number", sorted(acceptance.CRITERIA),
@@ -42,3 +44,22 @@ def test_criterion_9_reaches_the_worker_split(monkeypatch):
                   for lo, hi, k in mean_value._runs(max(grid), grid))
     assert largest >= mean_value._SPLIT_TERMS
     assert pools == [(8,)]
+
+
+@pytest.mark.parametrize("number,table,sigma,factor", [
+    (4, "predict_unweighted", 2.0, 1.0 + 1.0e-4),  # the zeta(4) term
+    (2, "predict_weighted", 0.0, 1.06),  # the square-root coefficient 2/3
+])
+def test_gate_judges_the_reported_table(monkeypatch, number, table, sigma, factor):
+    # criteria 2 and 4 take their main term and residual scale from the table
+    # that meanvalue reports, so a change to that table reaches the gate
+    predict = getattr(predictors, table)
+    (c, power, q), = predict(sigma).main_terms
+
+    def scaled(s):
+        p = predict(s)
+        return replace(p, main_terms=((c * factor, power, q),)) if s == sigma else p
+
+    assert acceptance.CRITERIA[number]()[1]
+    monkeypatch.setattr(predictors, table, scaled)
+    assert not acceptance.CRITERIA[number]()[1]

@@ -392,6 +392,8 @@ class TestVerifyAndErrors:
 
     @pytest.mark.parametrize("command,text,flags,name", [
         ("laplace", "epsilon_grid = 1e-7\n", [], "epsilon_grid"),
+        ("laplace", "epsilon_grid = 60\n", [], "epsilon_grid"),
+        ("laplace", "epsilon_grid = 1e20\n", [], "epsilon_grid"),
         ("meanvalue", "T_grid = 3\n", [], "T_grid"),
         ("eval", "t_grid = -5\n", [], "t_grid"),
         ("eval", "t_grid = 0, 30\n", [], "t_grid"),

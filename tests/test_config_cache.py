@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from auxzeta.aux_eval import AuxEval
+from auxzeta.aux_eval import AuxEval, eval_aux
 from auxzeta.cache import FORMAT_TAG, EvalCache
 from auxzeta.config import RunConfig, parse_config
 from auxzeta.errors import CacheIntegrityError, ConfigError
@@ -112,6 +112,29 @@ seed = 99
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError, match="sigma_list"):
             RunConfig(sigma_list=(float("nan"),))
+
+
+# eval_aux at one point per route, keyed by the format tag its records are
+# stored under: a change of route or value that leaves FORMAT_TAG as it is
+# fails here, and a new tag needs its own pins
+ROUTE_PINS = {
+    "auxzeta-eval-cache 4: shifted contour by the nested trapezoidal rule to "
+    "t = 500, main sum above, phases reduced modulo an extended-precision 2pi": {
+        (0.5, 100.0): ("DirectContour", 1.344116302809548 - 0.2999325513831781j,
+                       2.3771739798796777e-14),
+        (0.5, 1000.0): ("MainSum", 0.5079599941570982 + 0.40109815218030476j,
+                        0.42231472670541637),
+    },
+}
+
+
+@pytest.mark.parametrize("point", [(0.5, 100.0), (0.5, 1000.0)])
+def test_format_tag_pins_each_route(point):
+    method, value, bound = ROUTE_PINS[FORMAT_TAG][point]
+    got = eval_aux(complex(*point))
+    assert got.method == method
+    assert abs(got.value - value) <= 1e-12 * abs(value)
+    assert 0.5 * bound <= got.error_bound <= 2.0 * bound
 
 
 def _rec(sigma, t, method="MainSum", value=1.0 + 2.0j, bound=1e-9):

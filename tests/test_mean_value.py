@@ -16,7 +16,7 @@ import pytest
 from auxzeta import mean_value
 from auxzeta.aux_eval import TWO_PI_LONG, n_main_terms
 from auxzeta.bound_checks import _GLW8, _GLX8, osc_integral
-from auxzeta.errors import BudgetExceededError
+from auxzeta.errors import BudgetExceededError, CoverageError
 from auxzeta.laplace import laplace_numeric
 from auxzeta.mean_value import (_fold_run, _runs, cross_term_value,
                                 decomposition_check, diagonal_closed_form,
@@ -264,6 +264,12 @@ class TestIntegrateMean:
         with pytest.raises(BudgetExceededError):
             moment_stream(0.5, T, False)
         assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize("T_max", [1e-19, 1.0, 6.0])
+    def test_stream_below_first_term_is_typed_error(self, T_max):
+        # below 2pi, where the first term enters, the stream has nothing to hold
+        with pytest.raises(CoverageError, match="below 2\\*pi"):
+            moment_stream(0.0, T_max, True)
 
 
 def _blas_count():

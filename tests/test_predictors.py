@@ -127,6 +127,57 @@ class TestRegimes:
                 assert p.error_exponent < max(1.0, top + 1.0)
 
 
+def _zeta(s):
+    return real_zeta(s).value
+
+
+# each table per region and at every edge, written out as the paper's closed
+# forms: sigma -> (main terms, error exponent, sqrt(log T) in the error)
+WEIGHTED = {
+    -1.0: (((2.0 / 9.0, 0.5, 0),), 0.25, False),
+    0.25: (((4.0 / 3.0, 0.5, 0),), 0.25, False),
+    0.375: (((8.0 / 3.0, 0.5, 0), (_zeta(0.75) / 1.375, 0.375, 0)), 0.25, False),
+    0.5: (((1.0 / 3.0, 0.5, 1), (2.0 * (3.0 * EULER_GAMMA - 1.0) / 9.0, 0.5, 0)), 0.25, True),
+    0.75: (((_zeta(1.5) / 1.75, 0.75, 0), (-4.0 / 3.0, 0.5, 0)), 0.375, False),
+    1.0: (((math.pi**2 / 12.0, 1.0, 0),), 0.5, False),
+    1.5: (((_zeta(3.0) / 2.5, 1.5, 0),), 0.75, False),
+    2.0: (((math.pi**4 / 270.0, 2.0, 0),), 1.0, False),
+    3.0: (((_zeta(6.0) / 4.0, 3.0, 0),), 2.0, False),
+}
+UNWEIGHTED = {
+    -1.0: (((2.0 / 15.0, 1.5, 0),), 1.25, False),
+    0.25: (((1.6, 0.25, 0),), 0.0, False),
+    0.375: (((32.0 / 9.0, 0.125, 0), (_zeta(0.75), 0.0, 0)), -0.125, False),
+    0.5: (((0.5, 0.0, 1), (EULER_GAMMA - 0.5, 0.0, 0)), -0.25, True),
+    0.75: (((_zeta(1.5), 0.0, 0), (-8.0 / 3.0, -0.25, 0)), -0.375, False),
+    1.0: (((math.pi**2 / 6.0, 0.0, 0),), -0.5, True),
+    1.5: (((_zeta(3.0), 0.0, 0),), -0.75, False),
+    2.0: (((math.pi**4 / 90.0, 0.0, 0),), -1.0, False),
+    3.0: (((_zeta(6.0), 0.0, 0),), -1.0, False),
+}
+
+
+@pytest.mark.parametrize("predict,table", [(predict_weighted, WEIGHTED),
+                                           (predict_unweighted, UNWEIGHTED)],
+                         ids=["weighted", "unweighted"])
+@pytest.mark.parametrize("sigma", sorted(WEIGHTED))
+def test_table_matches_closed_forms(predict, table, sigma):
+    terms, exponent, log_factor = table[sigma]
+    p = predict(sigma)
+    assert [(pw, q) for _, pw, q in p.main_terms] == [(pw, q) for _, pw, q in terms]
+    assert [c for c, _, _ in p.main_terms] == pytest.approx([c for c, _, _ in terms],
+                                                            rel=1e-14)
+    assert (p.error_exponent, p.log_factor_in_error) == (exponent, log_factor)
+
+
+def test_critical_constant_in_the_weight_exponent():
+    # both tables' sigma = 1/2 constants are (gamma - 1/(2(a+1)))/(a+1)
+    for predict, a in ((predict_weighted, 0.5), (predict_unweighted, 0.0)):
+        const = predict(0.5).main_terms[1][0]
+        assert abs((EULER_GAMMA - 0.5 / (a + 1.0)) / (a + 1.0) - const) <= math.ulp(const)
+    assert predict_weighted(0.5).main_terms[1][0] == CRITICAL_CONSTANT_DERIVED
+
+
 class TestLaplacePredictors:
     def test_weighted_substitutions(self):
         assert predict_laplace_weighted(-1.0, 0.5) == pytest.approx(1.0 / 3.0, rel=1e-15)
