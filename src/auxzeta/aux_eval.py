@@ -29,16 +29,18 @@ in mpmath.  Along the line the integrand is analytic in a strip and
 decays like a Gaussian at both ends, so the equispaced sum converges
 exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014), and each
 halving of the step reuses every node already summed; the first level's
-binary64 pass measures the cancellation, which picks the arithmetic.
+binary64 pass measures the cancellation, which picks the arithmetic, and
+the window outside which the integrand is below 1e-30 and no later level sums.
 
 ``eval_aux`` is the one production evaluator: the shifted contour up to
-``T_SWITCH``, the truncated sum above (the contour is capped at
-t = 1000).  The ``AuxEval`` it returns -- value, method tag,
-error bound, work done -- is the record that the CLI writes to its cache
-and to the ``eval.csv`` row.  The contour's error bound is the observed
-change under the last halving of the step, once two successive changes
-are within ``QUAD_REL`` (absolute plus relative), and never below the
-roundoff that the cancellation along the line amplifies.
+``T_SWITCH``, the truncated sum above (the contour is capped at t = 1000).
+The ``AuxEval`` it returns -- value, method tag, error bound, work done --
+is the record that the CLI writes to its cache and to the ``eval.csv``
+row.  The contour's error bound is the observed change under the last
+halving of the step, once two successive changes are within ``QUAD_REL``
+(absolute plus relative), never below the roundoff that the cancellation
+along the line amplifies, plus 1e-30 h for each finest-level node left
+outside the window.
 ``critical_line_decomposition`` exposes 2 e^{i theta(t)} R(1/2+it), whose
 real part is the classical Hardy function.
 """
@@ -81,6 +83,8 @@ _MIN_POLE_DISTANCE = 0.2
 _FIRST_STEP = 0.5
 _MAX_HALVINGS = 12
 _FLOAT64_DIGIT_LIMIT = 5.0
+# the halvings sum only where the first level finds the integrand above 10^_CUT
+_CUT = -30.0
 _HARD_T_LIMIT = 1000.0
 
 
@@ -142,16 +146,24 @@ def _path_extent(t: float, crossing: float) -> float:
                math.sqrt(2.0) * (crossing + 2.3))
 
 
-def _quad_float(s: complex, crossing: float, u: np.ndarray) -> tuple:
+def _quad_float(s: complex, crossing: float, u: np.ndarray, measure: bool = False) -> tuple:
     """binary64 pass: the sum of the integrand over the nodes u of the
-    path, their count, and the integrand's peak log10-magnitude there,
-    taken in log space so that it cannot overflow."""
+    path and their count; with `measure`, also the integrand's peak
+    log10-magnitude there, taken in log space so that it cannot overflow,
+    and the window of u from 1 before its first node above 10^_CUT to 1
+    past its last."""
     x = crossing + u * _DIRECTION
-    w = np.exp(1j * math.pi * x)
-    exponent = -s * np.log(x) + 1j * math.pi * x * x
+    i_pi_x = 1j * math.pi * x
+    w = np.exp(i_pi_x)
+    exponent = i_pi_x * x - s * np.log(x)
     denominator = w - 1.0 / w
-    peak = np.max(exponent.real - np.log(np.abs(denominator))) / math.log(10.0)
-    return complex(np.sum(np.exp(exponent) / denominator)), u.size, float(peak)
+    total = complex(np.add.reduce(np.exp(exponent) / denominator))
+    if not measure:
+        return total, u.size
+    log_mag = (exponent.real - np.log(np.abs(denominator))) / math.log(10.0)
+    peak = float(log_mag.max())
+    live = u[log_mag >= min(_CUT, peak)]  # the peak node alone if none is live
+    return total, u.size, peak, (float(live[0]) - 1.0, float(live[-1]) + 1.0)
 
 
 def _quad_mp(s: complex, crossing: float, u: np.ndarray,
@@ -181,7 +193,8 @@ def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
 
     The rule is the trapezoidal sum over the nodes u = k h, |u| <=
     `_path_extent`.  The step h starts at 1/2 and is halved, and each
-    halving evaluates only the new odd-k nodes, so no node is computed
+    halving evaluates only the new odd-k nodes inside the window where the
+    first level finds the integrand above 10^_CUT, so no node is computed
     twice.  The integrand is analytic in a strip about the line and
     decays like a Gaussian at both ends, so the sums converge
     exponentially.  The first level runs in binary64: the peak
@@ -191,7 +204,8 @@ def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
     not modeled: the step is halved until two successive differences are
     within `QUAD_REL` (absolute plus relative).  The bound is the last
     difference, floored at 1e-14 relative and, in binary64, at the unit
-    roundoff times the cancellation factor 10^digits.  Raises if that is
+    roundoff times the cancellation factor 10^digits, plus h 10^_CUT for
+    each node of the finest level outside the window.  Raises if that is
     not reached within `_MAX_HALVINGS` halvings.
     """
     s = complex(s)
@@ -210,7 +224,7 @@ def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
     U = _path_extent(t, crossing)
     h = _FIRST_STEP
     u = np.arange(-math.floor(U / h), math.floor(U / h) + 1) * h
-    total, n_evals, digits = _quad_float(s, crossing, u)
+    total, n_evals, digits, (lo, hi) = _quad_float(s, crossing, u, measure=True)
     if digits > _FLOAT64_DIGIT_LIMIT:
         ctx, floor = MPContext(), 1e-14
         ctx.dps = int(math.ceil((digits + 22.0) / 20.0) * 20)
@@ -222,9 +236,9 @@ def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
     agreed = 0
     for _ in range(_MAX_HALVINGS):
         h /= 2.0
-        m = math.floor(U / h)
-        u = np.arange(-m + 1 - m % 2, m + 1, 2) * h  # the odd k in [-m, m]
-        part, n = (_quad_float(s, crossing, u)[:2] if ctx is None
+        k_lo, k_hi = math.ceil(max(lo, -U) / h), math.floor(min(hi, U) / h)
+        u = np.arange(k_lo + 1 - k_lo % 2, k_hi + 1, 2) * h  # the odd k in the window
+        part, n = (_quad_float(s, crossing, u) if ctx is None
                    else _quad_mp(s, crossing, u, ctx))
         total += part
         n_evals += n
@@ -232,7 +246,8 @@ def eval_aux_direct(s: complex, crossing: float = 0.5) -> AuxEval:
         err = abs(value - prev)
         agreed = agreed + 1 if err <= QUAD_REL * (1.0 + abs(value)) else 0
         if agreed == 2:
-            bound = max(err, floor * (1.0 + abs(value)))
+            dropped = (2 * math.floor(U / h) + 1 - n_evals) * h * 10.0 ** _CUT
+            bound = max(err, floor * (1.0 + abs(value))) + dropped
             return AuxEval(s, value, DIRECT_CONTOUR_METHOD, bound, n_evals)
         prev = value
     raise QuadratureConvergenceError(

@@ -27,9 +27,9 @@ from dataclasses import replace
 from .aux_eval import AuxEval
 from .errors import CacheIntegrityError
 
-FORMAT_TAG = ("auxzeta-eval-cache 4: shifted contour by the nested trapezoidal "
-              "rule to t = 500, main sum above, phases reduced modulo an "
-              "extended-precision 2pi")
+FORMAT_TAG = ("auxzeta-eval-cache 5: shifted contour by the nested trapezoidal "
+              "rule inside the window of its first level to t = 500, main sum "
+              "above, phases reduced modulo an extended-precision 2pi")
 _HEADER = (FORMAT_TAG + "\n").encode("utf-8")
 
 
@@ -100,16 +100,17 @@ class EvalCache:
         with self._lock:
             return self._records.get(_key(complex(s)))
 
-    def insert(self, rec: AuxEval) -> None:
-        """Store one evaluation; the file records everything but n_evals."""
-        rec = replace(rec, n_evals=0)
-        key = _key(rec.s)
+    def insert(self, *records: AuxEval) -> None:
+        """Store evaluations with one append; the file records everything
+        but n_evals.  A conflicting record raises before any is stored."""
+        new: dict[tuple[str, str], AuxEval] = {}
         with self._lock:
-            prior = self._records.get(key)
-            if prior is not None:
-                if prior != rec:
+            for rec in records:
+                rec = replace(rec, n_evals=0)
+                key = _key(rec.s)
+                if (self._records.get(key) or new.setdefault(key, rec)) != rec:
                     raise CacheIntegrityError(f"conflicting insert for key {key}")
-                return
-            self._records[key] = rec
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(_to_line(rec) + "\n")
+            if new:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write("".join(_to_line(rec) + "\n" for rec in new.values()))
+                self._records.update(new)

@@ -91,13 +91,12 @@ def cmd_eval(ctx: RunContext) -> tuple[list[list], int, int]:
         return hit if hit is not None else eval_aux(s)
 
     results = [one(s) for s in points]
-    if cache is not None:
-        # a hit did no work, a miss always did: store the misses once every
-        # point is looked up, so a point named twice in the grid is
-        # evaluated, not served, both times
-        for r in results:
-            if r.n_evals:
-                cache.insert(r)
+    # a hit did no work, a miss always did: store the misses in one append
+    # once every point is looked up, so a point named twice in the grid is
+    # evaluated, not served, both times
+    misses = [r for r in results if r.n_evals]
+    if cache is not None and misses:
+        cache.insert(*misses)
     rows = [[r.s.real, r.s.imag, r.method, r.value.real, r.value.imag,
              r.error_bound, r.n_evals] for r in results]
     return rows, sum(r.n_evals for r in results), 0

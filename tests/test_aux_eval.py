@@ -146,21 +146,30 @@ class TestDirectContour:
 
     @pytest.mark.parametrize("sigma,t,crossing", [(0.5, 20.0, 0.5), (0.0, 60.0, 3.5)])
     def test_levels_are_nested(self, monkeypatch, sigma, t, crossing):
-        # each halving of the step evaluates only the new nodes, so the
-        # count is that of the finest level alone, 2 floor(U/h) + 1
-        seen = []
+        # the first level spans the path; each halving evaluates only its
+        # new nodes inside the window the first level found, so no node is
+        # computed twice and the finest level is full inside the window
+        seen, windows = [], []
         quad = aux_eval._quad_float
 
-        def recording(s, c, u):
+        def recording(s, c, u, measure=False):
             seen.append(u)
-            return quad(s, c, u)
+            result = quad(s, c, u, measure)
+            if measure:
+                windows.append(result[3])
+            return result
         monkeypatch.setattr(aux_eval, "_quad_float", recording)
         r = eval_aux_direct(complex(sigma, t), crossing)
         nodes = np.concatenate(seen)
         assert np.unique(nodes).size == nodes.size == r.n_evals
         U = aux_eval._path_extent(t, crossing)
+        (lo, hi), = windows
+        lo, hi = max(lo, -U), min(hi, U)
         h = aux_eval._FIRST_STEP * 0.5 ** (len(seen) - 1)
-        assert r.n_evals == 2 * math.floor(U / h) + 1
+        inside = np.sort(nodes[(nodes >= lo) & (nodes <= hi)])
+        assert np.array_equal(inside, np.arange(math.ceil(lo / h), math.floor(hi / h) + 1) * h)
+        later = np.concatenate(seen[1:])
+        assert lo <= later.min() and later.max() <= hi
         assert np.abs(nodes).max() <= U
 
     def test_both_arithmetics_agree(self, monkeypatch):
@@ -205,13 +214,16 @@ class TestShiftedRoute:
     def test_first_level_measures_cancellation(self):
         # the peak log10|integrand| over the first level's nodes, which
         # picks the arithmetic, is within half a digit of the peak over
-        # 8,001 points of the path, on the oracle and the shifted line
+        # 8,001 points of the path, on the oracle and the shifted line; and
+        # outside the window the first level finds, where no later level
+        # sums, those points stay below 10^_CUT
         def fine_scan(s, crossing):
             U = aux_eval._path_extent(s.imag, crossing)
-            x = crossing + np.linspace(-U, U, 8001) * aux_eval._DIRECTION
+            v = np.linspace(-U, U, 8001)
+            x = crossing + v * aux_eval._DIRECTION
             w = np.exp(1j * math.pi * x)
             log_f = (-s * np.log(x) + 1j * math.pi * x * x).real - np.log(np.abs(w - 1 / w))
-            return float(log_f.max()) / math.log(10.0)
+            return v, log_f / math.log(10.0)
 
         h = aux_eval._FIRST_STEP
         for sigma in (-1.0, 0.0, 0.5, 1.0, 2.0):
@@ -220,8 +232,11 @@ class TestShiftedRoute:
                 for crossing in (0.5, n_main_terms(t) + 0.5):
                     U = aux_eval._path_extent(t, crossing)
                     u = np.arange(-math.floor(U / h), math.floor(U / h) + 1) * h
-                    level0 = aux_eval._quad_float(s, crossing, u)[2]
-                    assert abs(level0 - fine_scan(s, crossing)) <= 0.5, (sigma, t, crossing)
+                    _, _, peak, (lo, hi) = aux_eval._quad_float(s, crossing, u, measure=True)
+                    v, digits = fine_scan(s, crossing)
+                    assert abs(peak - digits.max()) <= 0.5, (sigma, t, crossing)
+                    outside = digits[(v < lo) | (v > hi)]
+                    assert outside.size == 0 or outside.max() < aux_eval._CUT, (sigma, t, crossing)
 
 
 class TestDispatch:

@@ -125,6 +125,14 @@ ROUTE_PINS = {
         (0.5, 1000.0): ("MainSum", 0.5079599941570982 + 0.40109815218030476j,
                         0.42231472670541637),
     },
+    "auxzeta-eval-cache 5: shifted contour by the nested trapezoidal rule "
+    "inside the window of its first level to t = 500, main sum above, phases "
+    "reduced modulo an extended-precision 2pi": {
+        (0.5, 100.0): ("DirectContour", 1.344116302809548 - 0.2999325513831781j,
+                       2.3771739798796787e-14),
+        (0.5, 1000.0): ("MainSum", 0.5079599941570982 + 0.40109815218030476j,
+                        0.42231472670541637),
+    },
 }
 
 
@@ -197,6 +205,24 @@ class TestEvalCache:
             cache.insert(_rec(0.0, 10.0, value=1.0 + 2.5j))
         with pytest.raises(CacheIntegrityError):
             cache.insert(_rec(0.0, 10.0, bound=2e-9))
+
+    def test_many_records_in_one_append(self, tmp_path):
+        # a point named twice in one call is stored once
+        path = tmp_path / "cache.txt"
+        r1 = _rec(0.0, 10.0)
+        r2 = _rec(0.5, 37.251, "DirectContour", 0.125 - 0.0042123j, 2.5e-14)
+        EvalCache(str(path)).insert(r1, r2, replace(r1, n_evals=7))
+        assert path.read_text() == FORMAT_TAG + "\n" + _line(r1) + "\n" + _line(r2) + "\n"
+        assert len(EvalCache(str(path))) == 2
+
+    def test_conflict_in_a_call_stores_none_of_it(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        cache = EvalCache(str(path))
+        with pytest.raises(CacheIntegrityError):
+            cache.insert(_rec(0.5, 20.0), _rec(0.0, 10.0),
+                         _rec(0.0, 10.0, value=1.0 + 2.5j))
+        assert len(cache) == 0
+        assert path.read_text() == FORMAT_TAG + "\n"
 
     def test_conflicting_file_raises(self, tmp_path):
         path = tmp_path / "cache.txt"
