@@ -172,6 +172,22 @@ class TestDirectContour:
         assert lo <= later.min() and later.max() <= hi
         assert np.abs(nodes).max() <= U
 
+    def test_unmeasured_pass_is_value_and_count(self):
+        # the halvings' pass forms no magnitudes: it returns the same sum as
+        # the measured pass, bit for bit, and the node count, nothing more
+        s, u = complex(0.5, 20.0), np.arange(-13, 14) * 0.5
+        measured = aux_eval._quad_float(s, 0.5, u, measure=True)
+        assert aux_eval._quad_float(s, 0.5, u) == measured[:2] == (measured[0], u.size)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_window_of_a_dead_level_is_its_peak_node(self, side):
+        # nodes far out on either end are all below 10^_CUT: the window is
+        # the node nearest the peak of the integrand, 1 to either side
+        u = side * np.arange(16, 30) * 0.5
+        _, n, peak, window = aux_eval._quad_float(complex(0.5, 20.0), 0.5, u, measure=True)
+        assert n == u.size and peak < aux_eval._CUT
+        assert window == (side * 8.0 - 1.0, side * 8.0 + 1.0)
+
     def test_both_arithmetics_agree(self, monkeypatch):
         # binary64 suffices at (1/2, 30); the mp pass, forced there, must
         # give the same value within the binary64 bound

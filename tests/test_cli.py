@@ -12,7 +12,7 @@ import pytest
 import auxzeta
 from auxzeta.aux_eval import eval_aux
 from auxzeta.bound_checks import PRODUCT_KIND, QUOTIENT_KIND, double_sum_growth
-from auxzeta.cache import FORMAT_TAG
+from auxzeta.cache import FORMAT_TAG, EvalCache
 from auxzeta.cli import COMMANDS, main
 from auxzeta.mean_value import integrate_mean
 from auxzeta.predictors import predict_laplace_unweighted
@@ -138,6 +138,40 @@ class TestEval:
                      "--cache", str(cache)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert _read(cache) == old.encode()
+
+    def test_cache_before_window_is_error(self, tmp_path, capsys):
+        # tag 4 summed every halving out to the path's end, so its shifted
+        # values differ from the windowed sum in their last bits
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, "sigma_list = 0.5\nt_grid = 30\n")
+        cache = tmp_path / "cache.txt"
+        old = ("auxzeta-eval-cache 4: shifted contour by the nested trapezoidal "
+               "rule to t = 500, main sum above, phases reduced modulo an "
+               "extended-precision 2pi\n"
+               "0.5\t30.0\tDirectContour\t0.5\t0.25\t1e-14\n")
+        _write(cache, old)
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--cache", str(cache)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert _read(cache) == old.encode()
+
+    def test_misses_are_stored_in_one_insert(self, tmp_path, monkeypatch):
+        # a cold run hands every miss to one insert, a warm run none
+        calls = []
+        insert = EvalCache.insert
+
+        def recording(self, *records):
+            calls.append(len(records))
+            return insert(self, *records)
+        monkeypatch.setattr(EvalCache, "insert", recording)
+        cfg = tmp_path / "cfg.txt"
+        _write(cfg, "sigma_list = 0, 0.5\nt_grid = 20, 30, 1000\n")
+        cache = str(tmp_path / "cache.txt")
+        for run in ("cold", "warm"):
+            assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / run),
+                         "--cache", cache]) == 0
+        assert calls == [6]
+        assert len(EvalCache(cache)) == 6
 
     def test_schema(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
